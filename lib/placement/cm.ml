@@ -140,12 +140,13 @@ type frame = {
      exclusion and §4.5 saving desirability; [nan] when no child has
      free slots.  Cached together with the ordering. *)
   mutable bw_per_slot : float;
-  (* Scratch candidate buffers: [gsub] is written by the current
-     candidate; accepting a candidate swaps it with [gsub_best]. *)
-  mutable gsub : int array;
-  mutable gsub_best : int array;
-  mutable best_score : float;
+  (* Per-component scratch rows: the group a Colocate/Balance step hands
+     to a child, per-call caps, and (Colocate only) the child's inside
+     counts and low-bandwidth flags. *)
+  gsub : int array;
   caps : int array;
+  inside : int array;
+  low : bool array;
   remaining : int array;
   placed : int array;
 }
@@ -157,6 +158,7 @@ type ctx = {
   ctag : Tag.t;
   n_comp : int;
   demand : float array; (* vm_demand per component *)
+  slots : int array; (* Tag.vm_slots per component *)
   comp_order : int array; (* component indices, demand desc then index asc *)
   (* Colocation candidates, precomputed once per placement: hose tiers
      with a sending self-loop, and internal trunk edges between distinct
@@ -189,9 +191,9 @@ let make_frame tree n_comp level =
     fresh = false;
     bw_per_slot = Float.nan;
     gsub = Array.make n_comp 0;
-    gsub_best = Array.make n_comp 0;
-    best_score = 0.;
     caps = Array.make n_comp 0;
+    inside = Array.make n_comp 0;
+    low = Array.make n_comp false;
     remaining = Array.make n_comp 0;
     placed = Array.make n_comp 0;
   }
@@ -233,6 +235,7 @@ let make_ctx sched state tag =
     ctag = tag;
     n_comp;
     demand;
+    slots = Array.init n_comp (Tag.vm_slots tag);
     comp_order;
     hose_comps;
     hose_bw;
@@ -307,59 +310,64 @@ let trunk_saving_in tag (e : Tag.edge) ~src_inside ~dst_inside =
     -. (float_of_int (n_src - src_inside) *. e.snd_bw))
     0.
 
-(* A candidate group was built in [frame.gsub]; keep it if it strictly
-   beats the best so far (ties keep the earlier candidate, as the
-   original fold did). *)
-let consider frame score =
-  if score > 0. && score > frame.best_score && total frame.gsub > 0 then begin
-    frame.best_score <- score;
-    let scratch = frame.gsub_best in
-    frame.gsub_best <- frame.gsub;
-    frame.gsub <- scratch
-  end
-
 (* FindTiersToColoc (§4.4): pick the child with the most room and the
    tier group whose colocation into it saves the most uplink bandwidth,
    filtering with the size conditions (Eqs. 2/6) and verifying actual
-   savings (Eq. 4).  Low-bandwidth tiers are left for Balance. *)
+   savings (Eq. 4).  Low-bandwidth tiers are left for Balance.
+
+   Every per-component quantity a candidate reads — its cap in the
+   child, its inside count there, its low-bandwidth flag — is fixed for
+   the whole call, so it is computed once per component up front rather
+   than once per edge endpoint.  A candidate is a group of at most two
+   tiers; the scan keeps the best one as (tiers, counts) and writes
+   [frame.gsub] once, for the winner. *)
 let find_tiers_to_coloc ~verify ctx frame remaining =
   refresh ctx frame;
   if frame.n_alive = 0 then None
   else begin
     let tree = ctx.ctree and tag = ctx.ctag and state = ctx.state in
-    let n_comp = ctx.n_comp in
+    let n_comp = ctx.n_comp and slots = ctx.slots in
     let child = frame.order.(0) in
     let child_idx = frame.keys.(0) land idx_mask in
     let free = Tree.free_slots_subtree tree child in
     let threshold =
       if Float.is_nan frame.bw_per_slot then 0. else frame.bw_per_slot
     in
-    let low_bw c = ctx.demand.(c) <= threshold in
-    let cap c =
-      min
-        (min remaining.(c) (free / Tag.vm_slots tag c))
-        (State.ha_cap state ~node:child ~comp:c)
-    in
-    let inside_row = State.counts_view state ~node:child in
-    let inside c =
-      match inside_row with None -> 0 | Some arr -> arr.(c)
-    in
-    frame.best_score <- 0.;
+    let caps = frame.caps and inside = frame.inside and low = frame.low in
+    (match State.counts_view state ~node:child with
+    | None -> Array.fill inside 0 n_comp 0
+    | Some row -> Array.blit row 0 inside 0 n_comp);
+    for c = 0 to n_comp - 1 do
+      low.(c) <- ctx.demand.(c) <= threshold;
+      caps.(c) <-
+        min
+          (min remaining.(c) (free / slots.(c)))
+          (State.ha_cap state ~node:child ~comp:c)
+    done;
+    (* Best candidate so far: [best_a] gets [best_ka] VMs and, for a
+       trunk pair, [best_b] gets [best_kb].  Only a strictly better,
+       non-empty candidate replaces it, so ties keep the earlier one. *)
+    let best_score = ref 0. in
+    let best_a = ref (-1) and best_ka = ref 0 in
+    let best_b = ref (-1) and best_kb = ref 0 in
     (* Hose (self-loop) tiers: Eq. 2.  [hose_comps] preserves component
        order, so candidates are considered exactly as the full scan
        did. *)
     for h = 0 to Array.length ctx.hose_comps - 1 do
       let c = ctx.hose_comps.(h) in
-      if not (low_bw c) then begin
-        let k = cap c in
+      if not low.(c) then begin
+        let k = caps.(c) in
         if k > 0 then begin
-          let after = inside c + k in
+          let after = inside.(c) + k in
           let n_total = Tag.size tag c in
           if Bandwidth.hose_saving_possible ~n_total ~n_inside:after then begin
             let score = float_of_int ((2 * after) - n_total) *. ctx.hose_bw.(h) in
-            Array.fill frame.gsub 0 n_comp 0;
-            frame.gsub.(c) <- k;
-            consider frame score
+            if score > 0. && score > !best_score then begin
+              best_score := score;
+              best_a := c;
+              best_ka := k;
+              best_b := -1
+            end
           end
         end
       end
@@ -370,49 +378,54 @@ let find_tiers_to_coloc ~verify ctx frame remaining =
     let edges = ctx.trunk_edges in
     for ei = 0 to Array.length edges - 1 do
       let e = edges.(ei) in
-      begin
-        if not (low_bw e.src && low_bw e.dst) then begin
-          let cap_src = cap e.src and cap_dst = cap e.dst in
-          let cost_src = Tag.vm_slots tag e.src
-          and cost_dst = Tag.vm_slots tag e.dst in
-          let k_src, k_dst =
-            if (cap_src * cost_src) + (cap_dst * cost_dst) <= free then
-              (cap_src, cap_dst)
-            else
-              let slots_src =
-                if cap_src + cap_dst = 0 then 0
-                else
-                  free * (cap_src * cost_src)
-                  / ((cap_src * cost_src) + (cap_dst * cost_dst))
-              in
-              let k_src = min (slots_src / cost_src) cap_src in
-              (k_src, min ((free - (k_src * cost_src)) / cost_dst) cap_dst)
-          in
-          let in_src = inside e.src + k_src
-          and in_dst = inside e.dst + k_dst in
-          if
-            Bandwidth.trunk_size_condition tag e ~src_inside:in_src
-              ~dst_inside:in_dst
-          then begin
-            (* Eq. 6 is only necessary; verify real savings (Eq. 4)
-               unless the ablation disables it. *)
-            let score =
-              if verify then
-                Bandwidth.trunk_saving_amount tag e ~src_inside:in_src
-                  ~dst_inside:in_dst
-                +. trunk_saving_in tag e ~src_inside:in_src
-                     ~dst_inside:in_dst
-              else Tag.b_total tag e
+      if not (low.(e.src) && low.(e.dst)) then begin
+        let cap_src = caps.(e.src) and cap_dst = caps.(e.dst) in
+        let cost_src = slots.(e.src) and cost_dst = slots.(e.dst) in
+        let k_src, k_dst =
+          if (cap_src * cost_src) + (cap_dst * cost_dst) <= free then
+            (cap_src, cap_dst)
+          else
+            let slots_src =
+              if cap_src + cap_dst = 0 then 0
+              else
+                free * (cap_src * cost_src)
+                / ((cap_src * cost_src) + (cap_dst * cost_dst))
             in
-            Array.fill frame.gsub 0 n_comp 0;
-            frame.gsub.(e.src) <- k_src;
-            frame.gsub.(e.dst) <- frame.gsub.(e.dst) + k_dst;
-            consider frame score
+            let k_src = min (slots_src / cost_src) cap_src in
+            (k_src, min ((free - (k_src * cost_src)) / cost_dst) cap_dst)
+        in
+        let in_src = inside.(e.src) + k_src
+        and in_dst = inside.(e.dst) + k_dst in
+        if
+          Bandwidth.trunk_size_condition tag e ~src_inside:in_src
+            ~dst_inside:in_dst
+        then begin
+          (* Eq. 6 is only necessary; verify real savings (Eq. 4)
+             unless the ablation disables it. *)
+          let score =
+            if verify then
+              Bandwidth.trunk_saving_amount tag e ~src_inside:in_src
+                ~dst_inside:in_dst
+              +. trunk_saving_in tag e ~src_inside:in_src ~dst_inside:in_dst
+            else Tag.b_total tag e
+          in
+          if score > 0. && score > !best_score && k_src + k_dst > 0 then begin
+            best_score := score;
+            best_a := e.src;
+            best_ka := k_src;
+            best_b := e.dst;
+            best_kb := k_dst
           end
         end
       end
     done;
-    if frame.best_score > 0. then Some (child_idx, child, frame.gsub_best)
+    if !best_score > 0. then begin
+      let gsub = frame.gsub in
+      Array.fill gsub 0 n_comp 0;
+      gsub.(!best_a) <- !best_ka;
+      if !best_b >= 0 then gsub.(!best_b) <- !best_kb;
+      Some (child_idx, child, gsub)
+    end
     else None
   end
 
@@ -424,8 +437,8 @@ let find_tiers_to_coloc ~verify ctx frame remaining =
 let md_subset_sum ctx frame remaining ~single =
   Metrics.incr m_subset_sum_calls;
   refresh ctx frame;
-  let tree = ctx.ctree and tag = ctx.ctag and state = ctx.state in
-  let n_comp = ctx.n_comp and demand = ctx.demand in
+  let tree = ctx.ctree and state = ctx.state in
+  let n_comp = ctx.n_comp and demand = ctx.demand and cost = ctx.slots in
   (* Walk the alive snapshot taken above; children exhausted mid-call are
      marked dead for later calls but the snapshot itself is not refreshed
      (matching the original, which listed children once per call). *)
@@ -452,7 +465,7 @@ let md_subset_sum ctx frame remaining ~single =
            the target; first index wins ties. *)
         let best_c = ref (-1) and best_gap = ref infinity in
         for c = 0 to n_comp - 1 do
-          if gsub.(c) < caps.(c) && Tag.vm_slots tag c <= !slots then begin
+          if gsub.(c) < caps.(c) && cost.(c) <= !slots then begin
             let mean_after =
               (!placed_demand +. demand.(c)) /. float_of_int (!placed_n + 1)
             in
@@ -474,7 +487,7 @@ let md_subset_sum ctx frame remaining ~single =
           gsub.(c) <- gsub.(c) + 1;
           placed_n := !placed_n + 1;
           placed_demand := !placed_demand +. demand.(c);
-          slots := !slots - Tag.vm_slots tag c;
+          slots := !slots - cost.(c);
           if single then continue := false
         end
       done;
@@ -494,7 +507,7 @@ let rec naive_fill ctx frame remaining =
   refresh ctx frame;
   if frame.n_alive = 0 then None
   else begin
-    let tree = ctx.ctree and tag = ctx.ctag and state = ctx.state in
+    let tree = ctx.ctree and state = ctx.state in
     let n_comp = ctx.n_comp in
     let child = frame.order.(0) in
     let child_idx = frame.keys.(0) land idx_mask in
@@ -502,7 +515,7 @@ let rec naive_fill ctx frame remaining =
     let gsub = frame.gsub in
     Array.fill gsub 0 n_comp 0;
     for c = 0 to n_comp - 1 do
-      let cost = Tag.vm_slots tag c in
+      let cost = ctx.slots.(c) in
       let want = min remaining.(c) (!free / cost) in
       let cap_ha = State.ha_cap state ~node:child ~comp:c in
       if cap_ha < want then ctx.att_ha_capped <- true;
@@ -527,26 +540,26 @@ let rec alloc ctx g st =
    server's uplink per the accounting model.  The returned array is the
    level-0 frame's buffer — valid until the next server allocation. *)
 and alloc_server ctx g st =
-  let tree = ctx.ctree and tag = ctx.ctag and state = ctx.state in
+  let tree = ctx.ctree and state = ctx.state in
   let n_comp = ctx.n_comp in
   let cp = State.checkpoint state in
   let placed = ctx.frames.(0).placed in
   Array.fill placed 0 n_comp 0;
   let free = ref (Tree.free_slots tree st) in
-  Array.iter
-    (fun c ->
-      let cost = Tag.vm_slots tag c in
-      if g.(c) > 0 && !free >= cost then begin
-        let want = min g.(c) (!free / cost) in
-        let cap_ha = State.ha_cap state ~node:st ~comp:c in
-        if cap_ha < want then ctx.att_ha_capped <- true;
-        let n = min want cap_ha in
-        if n > 0 && State.place state ~server:st ~comp:c ~n then begin
-          placed.(c) <- n;
-          free := !free - (n * cost)
-        end
-      end)
-    ctx.comp_order;
+  for i = 0 to n_comp - 1 do
+    let c = ctx.comp_order.(i) in
+    let cost = ctx.slots.(c) in
+    if g.(c) > 0 && !free >= cost then begin
+      let want = min g.(c) (!free / cost) in
+      let cap_ha = State.ha_cap state ~node:st ~comp:c in
+      if cap_ha < want then ctx.att_ha_capped <- true;
+      let n = min want cap_ha in
+      if n > 0 && State.place state ~server:st ~comp:c ~n then begin
+        placed.(c) <- n;
+        free := !free - (n * cost)
+      end
+    end
+  done;
   if total placed = 0 then begin
     State.rollback_to state cp;
     placed

@@ -65,11 +65,10 @@ let external_demand t tag =
    those go through the serial coordinator.  Routing is a heuristic:
    pods re-verify everything locally and phase 4 re-serializes whatever
    they cannot finish, so a stale or imperfect probe only costs a retry,
-   never correctness.  Must run on a flushed index (pure reads). *)
-let route t req =
-  let tag = req.Types.tag in
-  let slot_demand = Tag.total_slot_demand tag in
-  let ext = external_demand t tag in
+   never correctness.  Must run on a flushed index (pure reads).  [ext]
+   is the request's [external_demand]. *)
+let route t ~ext req =
+  let slot_demand = Tag.total_slot_demand req.Types.tag in
   let engine = Cm.engine t.coordinator in
   let rec probe level =
     if level >= t.pod_level then -1
@@ -137,7 +136,11 @@ let place_batch ?domains t reqs =
   (* Phase 1: routing probes on a flushed (read-only) index. *)
   let cleaned = Tree.index_flush tree in
   Metrics.incr ~by:cleaned m_flush_cleaned;
-  let routes = Array.of_list (Par.map ?domains (route t) reqs) in
+  (* One Eq. 1 pricing per request, shared by routing and phase 4. *)
+  let exts = Array.map (fun req -> external_demand t req.Types.tag) reqs_arr in
+  let routes =
+    Array.of_list (Par.mapi ?domains (fun i req -> route t ~ext:exts.(i) req) reqs)
+  in
   (* Phase 2: per-pod queues in arrival order. *)
   let queues = Array.make (Array.length t.pods) [] in
   for i = n - 1 downto 0 do
@@ -184,7 +187,7 @@ let place_batch ?domains t reqs =
         match pod_result.(i) with
         | Some (Ok placement) -> (
             let pod = routes.(i) in
-            match reserve_above t ~pod ~ext:(external_demand t req.Types.tag) with
+            match reserve_above t ~pod ~ext:exts.(i) with
             | Some above ->
                 Metrics.incr m_pod_placed;
                 Ok

@@ -1,13 +1,13 @@
 let check_inside tag inside =
   if Array.length inside <> Tag.n_components tag then
     invalid_arg "Bandwidth: inside vector length mismatch";
-  Array.iteri
-    (fun c n ->
-      if n < 0 || n > Tag.size tag c then
-        invalid_arg
-          (Printf.sprintf "Bandwidth: inside.(%d)=%d out of [0,%d]" c n
-             (Tag.size tag c)))
-    inside
+  for c = 0 to Array.length inside - 1 do
+    let n = inside.(c) in
+    if n < 0 || n > Tag.size tag c then
+      invalid_arg
+        (Printf.sprintf "Bandwidth: inside.(%d)=%d out of [0,%d]" c n
+           (Tag.size tag c))
+  done
 
 let fi = float_of_int
 let outside tag inside c = Tag.size tag c - inside.(c)
@@ -199,39 +199,43 @@ let trunk_saving_amount tag (e : Tag.edge) ~src_inside ~dst_inside =
 
 type model = Tag_model | Hose_model | Voc_model | Pipe_model
 
-(* Fused single-pass [ (tag_out, tag_in) ]: one walk over the edge array
-   with one accumulator per (direction, edge class) pair, combined in the
-   same order the separate sums used — bit-identical to calling [tag_out]
-   and [tag_in], at a sixth of the edge traffic.  This sits on the
+(* Fused single-pass [ (tag_out, tag_in) ] over the flat edge view: one
+   walk with one accumulator per (direction, edge class) pair, each term
+   computed by the same float expression as [edge_out]/[edge_in]/
+   [external_out]/[external_in], each accumulator summed in edge order and
+   the three combined in the order [tag_out]/[tag_in] use — so the result
+   is bitwise equal to [(tag_out, tag_in)], at a sixth of the edge
+   traffic and without touching an edge record.  This sits on the
    placement hot path ([Alloc_state.sync_bw] prices an uplink on every
    server allocation and every path sync). *)
 let tag_required tag ~inside =
   check_inside tag inside;
+  let v = Tag.edge_view tag in
   let trunk_out = ref 0.
   and hose_out = ref 0.
   and ext_out = ref 0.
   and trunk_in = ref 0.
   and hose_in = ref 0.
   and ext_in = ref 0. in
-  let edges = Tag.edges tag in
-  for i = 0 to Array.length edges - 1 do
-    let e = edges.(i) in
-    let sx = Tag.is_external tag e.src and dx = Tag.is_external tag e.dst in
-    if (not sx) && not dx then
-      if e.src = e.dst then begin
-        hose_out := !hose_out +. edge_out tag inside e;
-        hose_in := !hose_in +. edge_in tag inside e
-      end
-      else begin
-        trunk_out := !trunk_out +. edge_out tag inside e;
-        trunk_in := !trunk_in +. edge_in tag inside e
-      end
-    else begin
-      if (not sx) && dx then
-        ext_out := !ext_out +. (fi inside.(e.src) *. e.snd_bw);
-      if sx && not dx then
-        ext_in := !ext_in +. (fi inside.(e.dst) *. e.rcv_bw)
-    end
+  for i = 0 to v.n_edges - 1 do
+    match v.cls.(i) with
+    | Tag.Ext_out -> ext_out := !ext_out +. (fi inside.(v.src.(i)) *. v.snd.(i))
+    | Tag.Ext_in -> ext_in := !ext_in +. (fi inside.(v.dst.(i)) *. v.rcv.(i))
+    | (Tag.Trunk | Tag.Hose) as cls -> (
+        let s = v.src.(i) and d = v.dst.(i) in
+        let snd = v.snd.(i) and rcv = v.rcv.(i) in
+        let o =
+          Float.min (fi inside.(s) *. snd) (fi (v.dst_size.(i) - inside.(d)) *. rcv)
+        and n =
+          Float.min (fi (v.src_size.(i) - inside.(s)) *. snd) (fi inside.(d) *. rcv)
+        in
+        match cls with
+        | Tag.Hose ->
+            hose_out := !hose_out +. o;
+            hose_in := !hose_in +. n
+        | _ ->
+            trunk_out := !trunk_out +. o;
+            trunk_in := !trunk_in +. n)
   done;
   ( !trunk_out +. !hose_out +. !ext_out,
     !trunk_in +. !hose_in +. !ext_in )

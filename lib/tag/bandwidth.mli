@@ -21,6 +21,12 @@ val tag_out : Tag.t -> inside:int array -> float
 val tag_in : Tag.t -> inside:int array -> float
 (** [C_X,in]: traffic entering the subtree, computed symmetrically. *)
 
+val tag_required : Tag.t -> inside:int array -> float * float
+(** [(tag_out, tag_in)] in one walk over {!Tag.edge_view}, bitwise equal
+    to the two separate sums (same terms, same per-class accumulation
+    order).  The placement hot path prices uplinks with it, through
+    [required Tag_model]. *)
+
 val tag_trunk_out : Tag.t -> inside:int array -> float
 (** The [B_trunk] part of Eq. 1 (inter-component edges only). *)
 

@@ -1,3 +1,17 @@
+type edge_class = Trunk | Hose | Ext_out | Ext_in
+
+type edge_view = {
+  n_edges : int;
+  src : int array;
+  dst : int array;
+  snd : float array;
+  rcv : float array;
+  cls : edge_class array;
+  src_size : int array;
+  dst_size : int array;
+}
+
+(* Declared after [edge_view] so unannotated [e.src] means an [edge]. *)
 type component = { name : string; size : int; vm_slots : int }
 type edge = { src : int; dst : int; snd_bw : float; rcv_bw : float }
 
@@ -9,7 +23,30 @@ type t = {
   outgoing : edge list array; (* per component or external, incl. self-loop *)
   incoming : edge list array;
   selfs : edge option array; (* regular components only *)
+  view : edge_view; (* derived from [components] and [all_edges] *)
 }
+
+(* The flat view depends on the component sizes, so every constructor of
+   a [t] — [create] and [with_size] — rebuilds it. *)
+let make_view components all_edges =
+  let n_comp = Array.length components in
+  let size i = if i < n_comp then components.(i).size else 0 in
+  let field f = Array.map f all_edges in
+  {
+    n_edges = Array.length all_edges;
+    src = field (fun e -> e.src);
+    dst = field (fun e -> e.dst);
+    snd = field (fun e -> e.snd_bw);
+    rcv = field (fun e -> e.rcv_bw);
+    cls =
+      field (fun e ->
+          match (e.src >= n_comp, e.dst >= n_comp) with
+          | false, false -> if e.src = e.dst then Hose else Trunk
+          | false, true -> Ext_out
+          | true, _ -> Ext_in (* two externals: rejected by validation *));
+    src_size = field (fun e -> size e.src);
+    dst_size = field (fun e -> size e.dst);
+  }
 
 let validate ~n_components ~n_externals ~components ~edges =
   if n_components = 0 then invalid_arg "Tag.create: no components";
@@ -85,7 +122,16 @@ let create ?(name = "tag") ?(externals = []) ?vm_slots ~components ~edges () =
     incoming.(e.dst) <- e :: incoming.(e.dst);
     if e.src = e.dst then selfs.(e.src) <- Some e
   done;
-  { tag_name = name; components; externals; all_edges; outgoing; incoming; selfs }
+  {
+    tag_name = name;
+    components;
+    externals;
+    all_edges;
+    outgoing;
+    incoming;
+    selfs;
+    view = make_view components all_edges;
+  }
 
 let hose ?(name = "hose") ~tier ~size ~bw () =
   create ~name ~components:[ (tier, size) ] ~edges:[ (0, 0, bw, bw) ] ()
@@ -108,6 +154,7 @@ let vm_slots t i = if is_external t i then 0 else t.components.(i).vm_slots
 let total_slot_demand t =
   Array.fold_left (fun acc c -> acc + (c.size * c.vm_slots)) 0 t.components
 let edges t = t.all_edges
+let edge_view t = t.view
 let out_edges t i = t.outgoing.(i)
 let in_edges t i = t.incoming.(i)
 let self_loop t i = if is_external t i then None else t.selfs.(i)
@@ -163,7 +210,7 @@ let with_size t ~comp ~size =
   if size <= 0 then invalid_arg "Tag.with_size: non-positive size";
   let components = Array.copy t.components in
   components.(comp) <- { (components.(comp)) with size };
-  { t with components }
+  { t with components; view = make_view components t.all_edges }
 
 let equal a b =
   a.tag_name = b.tag_name

@@ -101,6 +101,31 @@ val vm_slots : t -> int -> int
 
 val total_slot_demand : t -> int
 val edges : t -> edge array
+
+(** Class of an edge, by where its endpoints live. *)
+type edge_class =
+  | Trunk  (** Between two distinct regular components. *)
+  | Hose  (** A self-loop. *)
+  | Ext_out  (** From a regular component to an external. *)
+  | Ext_in  (** From an external to a regular component. *)
+
+type edge_view = private {
+  n_edges : int;
+  src : int array;
+  dst : int array;
+  snd : float array;  (** [snd_bw] per edge. *)
+  rcv : float array;  (** [rcv_bw] per edge. *)
+  cls : edge_class array;
+  src_size : int array;  (** [size t src]: 0 for an external. *)
+  dst_size : int array;  (** [size t dst]: 0 for an external. *)
+}
+(** The edges as parallel flat arrays, index [i] of each array
+    describing [(edges t).(i)].  Built once with the TAG (and rebuilt by
+    {!with_size} and {!scale_bw}) for the placement hot path, which
+    prices every edge on each uplink sync: no record or list indirection
+    per edge.  The arrays are shared and must not be mutated. *)
+
+val edge_view : t -> edge_view
 val out_edges : t -> int -> edge list
 val in_edges : t -> int -> edge list
 val self_loop : t -> int -> edge option

@@ -4,7 +4,10 @@
    a contiguous suffix backwards (cache-friendly).  [kind] 0 is a slot
    delta ([node] = server, [n] = signed slot count — returns are recorded
    as negative takes so commit/release handle them uniformly); [kind] 1 is
-   a bandwidth delta on [node]'s uplink ([up]/[down] signed Mbps). *)
+   a bandwidth delta on [node]'s uplink ([up]/[down] signed Mbps), with
+   the uplink's reservation before the op in [prev_up]/[prev_down] so
+   rollback restores it exactly: adding the negated delta is no inverse
+   under rounding (0.1 + 0.2 - 0.2 <> 0.1) or the clamp at zero. *)
 
 type t = {
   the_tree : Tree.t;
@@ -13,6 +16,8 @@ type t = {
   mutable n : int array;
   mutable up : float array;
   mutable down : float array;
+  mutable prev_up : float array;
+  mutable prev_down : float array;
   mutable count : int;
 }
 
@@ -37,6 +42,8 @@ let start the_tree =
     n = Array.make initial_capacity 0;
     up = Array.make initial_capacity 0.;
     down = Array.make initial_capacity 0.;
+    prev_up = Array.make initial_capacity 0.;
+    prev_down = Array.make initial_capacity 0.;
     count = 0;
   }
 
@@ -60,7 +67,9 @@ let ensure_room t =
     t.node <- grow_int t.node;
     t.n <- grow_int t.n;
     t.up <- grow_float t.up;
-    t.down <- grow_float t.down
+    t.down <- grow_float t.down;
+    t.prev_up <- grow_float t.prev_up;
+    t.prev_down <- grow_float t.prev_down
   end
 
 let record_slots t ~server n =
@@ -81,6 +90,8 @@ let record_bw t ~node ~up ~down =
   t.n.(i) <- 0;
   t.up.(i) <- up;
   t.down.(i) <- down;
+  t.prev_up.(i) <- Tree.reserved_up t.the_tree node;
+  t.prev_down.(i) <- Tree.reserved_down t.the_tree node;
   t.count <- i + 1
 
 let take_slots t ~server n =
@@ -111,16 +122,18 @@ let reserve_bw t ~node ~up ~down =
     let ok_up = up <= 0. || Tree.fits_up t.the_tree ~node up in
     let ok_down = down <= 0. || Tree.fits_down t.the_tree ~node down in
     if ok_up && ok_down then begin
-      Tree.unchecked_add_bw t.the_tree ~node ~up ~down;
       record_bw t ~node ~up ~down;
+      Tree.unchecked_add_bw t.the_tree ~node ~up ~down;
       true
     end
     else false
 
+let undo_slots the_tree ~node ~n =
+  if n >= 0 then Tree.unchecked_return_slots the_tree ~server:node n
+  else Tree.unchecked_take_slots the_tree ~server:node (-n)
+
 let undo_op the_tree ~kind ~node ~n ~up ~down =
-  if kind = 0 then
-    if n >= 0 then Tree.unchecked_return_slots the_tree ~server:node n
-    else Tree.unchecked_take_slots the_tree ~server:node (-n)
+  if kind = 0 then undo_slots the_tree ~node ~n
   else Tree.unchecked_add_bw the_tree ~node ~up:(-.up) ~down:(-.down)
 
 let apply_op the_tree ~kind ~node ~n ~up ~down =
@@ -134,8 +147,10 @@ let checkpoint t = t.count
 let rollback_to t cp =
   if cp < 0 || cp > t.count then invalid_arg "Reservation.rollback_to";
   for i = t.count - 1 downto cp do
-    undo_op t.the_tree ~kind:t.kind.(i) ~node:t.node.(i) ~n:t.n.(i)
-      ~up:t.up.(i) ~down:t.down.(i)
+    if t.kind.(i) = 0 then undo_slots t.the_tree ~node:t.node.(i) ~n:t.n.(i)
+    else
+      Tree.unchecked_set_bw t.the_tree ~node:t.node.(i) ~up:t.prev_up.(i)
+        ~down:t.prev_down.(i)
   done;
   t.count <- cp
 

@@ -41,7 +41,11 @@ val reserve_bw : t -> node:int -> up:float -> down:float -> bool
 
 val checkpoint : t -> checkpoint
 val rollback_to : t -> checkpoint -> unit
-(** Undo every operation recorded after the checkpoint. *)
+(** Undo every operation recorded after the checkpoint.  Each uplink an
+    undone operation touched gets back its reservation from before that
+    operation, bit for bit — so no other transaction may have changed
+    that uplink since the checkpoint (it would be overwritten).
+    Committed sets are undone by {!release}, which subtracts. *)
 
 val rollback : t -> unit
 (** Undo everything; the transaction becomes empty and reusable. *)

@@ -455,6 +455,12 @@ let unchecked_add_bw t ~node ~up ~down =
      ancestors go stale. *)
   idx_mark_up t n.parent
 
+let unchecked_set_bw t ~node ~up ~down =
+  let n = t.nodes.(node) in
+  n.reserved_up <- up;
+  n.reserved_down <- down;
+  idx_mark_up t n.parent
+
 (* {2 Availability-index queries and maintenance} *)
 
 let rec idx_clean t v =

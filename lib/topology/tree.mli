@@ -120,6 +120,10 @@ val unchecked_return_slots : t -> server:int -> int -> unit
 val unchecked_add_bw : t -> node:int -> up:float -> down:float -> unit
 (** [unchecked_add_bw] with negative amounts releases bandwidth. *)
 
+val unchecked_set_bw : t -> node:int -> up:float -> down:float -> unit
+(** Overwrite a node's reserved (up, down) bandwidth — restores a value
+    journaled earlier, exactly (no float round trip). *)
+
 val bw_epsilon : float
 (** Tolerance used in capacity comparisons (guards against float drift in
     reserve/release cycles). *)
@@ -146,10 +150,10 @@ val reserved_at_level : t -> level:int -> float * float
     ({!index_max_free}), and the maximum over [d] of the minimum
     available up/down bandwidth along the path [(v..d]]
     ({!index_max_ext_up}/[_down]).  The aggregates are maintained lazily:
-    {!unchecked_take_slots}, {!unchecked_return_slots} and
-    {!unchecked_add_bw} — i.e. every mutation path of the reservation
-    journals, including rollback — mark ancestors dirty, and reads clean
-    dirty subtrees on first touch.  All three [index_*] reads may
+    {!unchecked_take_slots}, {!unchecked_return_slots},
+    {!unchecked_add_bw} and {!unchecked_set_bw} — i.e. every mutation
+    path of the reservation journals, including rollback — mark
+    ancestors dirty, and reads clean dirty subtrees on first touch.  All three [index_*] reads may
     therefore mutate internal index state; {!index_flush} makes
     subsequent reads pure until the next tree mutation. *)
 

@@ -361,6 +361,76 @@ let test_batch_conflict_path () =
   Reservation.release tree4 plugs4;
   check_pristine "after parallel conflict workload" tree4
 
+(* {1 Decision golden: a seeded batch trace with the mesh tenant}
+
+   Eight epochs of 32 arrivals dealt in shuffled rounds from the
+   bing-like pool, scaled to Bmax 800, with a seeded quarter of the live
+   tenants departing after each epoch, on a 512-server tree.  The pool's
+   732-VM tenant (12 tiers in a full mesh) arrives four times: it is
+   accepted once and refused for bandwidth three times, each refusal a
+   full root-level Algorithm 1 search through the coordinator.  The MD5 of
+   the concatenated per-epoch [result_digest]s was captured on the code
+   before the flat Eq. 1 kernel and the hoisted Colocate scan; any
+   decision drift in the placement hot path shows up as a mismatch. *)
+
+let golden_shard_md5 = "0d05bea248d4f4beeff6049a26d43c09"
+
+let golden_shard_trace () =
+  let pool =
+    Cm_workload.Pool.scale_to_bmax
+      (Cm_workload.Pool.bing_like ~seed:1 ())
+      ~bmax:800.
+  in
+  let tags = pool.Cm_workload.Pool.tags in
+  let tree =
+    Tree.create
+      {
+        Tree.degrees = [ 4; 8; 16 ];
+        slots_per_server = 25;
+        server_up_mbps = 10_000.;
+        oversub = [ 4.; 8. ];
+      }
+  in
+  let shard = Shard.create tree in
+  let rng = Rng.create 1 in
+  let deck = ref [||] and next = ref 0 in
+  let deal () =
+    if !next >= Array.length !deck then begin
+      deck := Array.copy tags;
+      Rng.shuffle rng !deck;
+      next := 0
+    end;
+    let tag = !deck.(!next) in
+    incr next;
+    Types.request tag
+  in
+  let live = ref [] in
+  let digests =
+    List.init 8 (fun _ ->
+        let results =
+          Shard.place_batch ~domains:1 shard (List.init 32 (fun _ -> deal ()))
+        in
+        (* Each live tenant, oldest first, departs with probability 1/4. *)
+        live :=
+          List.filter
+            (fun p ->
+              if Rng.int rng 4 = 0 then begin
+                Shard.release shard p;
+                false
+              end
+              else true)
+            (!live @ List.filter_map Result.to_option results);
+        result_digest results)
+  in
+  (Array.exists (fun t -> Tag.total_vms t = 732) tags, digests)
+
+let test_golden_shard () =
+  let has_mesh, digests = golden_shard_trace () in
+  Alcotest.(check bool) "pool holds the 732-VM tenant" true has_mesh;
+  Alcotest.(check string) "batch decisions match the pre-optimisation capture"
+    golden_shard_md5
+    (Digest.to_hex (Digest.string (String.concat "#" digests)))
+
 let test_shard_geometry () =
   let tree = Tree.create pod_spec in
   let shard = Shard.create tree in
@@ -395,6 +465,8 @@ let () =
             `Quick test_batch_jobs_invariant;
           Alcotest.test_case "cross-pod conflict path" `Quick
             test_batch_conflict_path;
+          Alcotest.test_case "seeded batch trace decision golden" `Quick
+            test_golden_shard;
           Alcotest.test_case "pod geometry and validation" `Quick
             test_shard_geometry;
         ] );

@@ -661,6 +661,91 @@ let prop_complement_symmetry =
         (Bandwidth.tag_out t ~inside -. Bandwidth.tag_in t ~inside:complement)
       < 1e-6)
 
+(* {1 Fused Eq. 1 kernel: bitwise equal to the reference sums}
+
+   [Bandwidth.tag_required] walks the TAG's flat edge view; [tag_out] and
+   [tag_in] walk the edge records.  Random TAGs cover self-loops,
+   externals in both directions, [vm_slots > 1] and full meshes of up to
+   12 tiers; each case is checked again after [with_size] (with a fresh
+   inside vector in the new range) and [scale_bw], so a view left stale
+   by either transformation fails. *)
+
+let eq1_tag_gen =
+  let open QCheck.Gen in
+  let* n_comp = int_range 1 12 in
+  let* n_ext = int_range 0 2 in
+  let* mesh = bool in
+  let* sizes = list_repeat n_comp (int_range 1 40) in
+  let* vm_slots = list_repeat n_comp (int_range 1 3) in
+  let n_total = n_comp + n_ext in
+  (* Every ordered pair except external-to-external (self-loops on an
+     external included), which [Tag.create] rejects. *)
+  let pairs =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if i >= n_comp && j >= n_comp then None else Some (i, j))
+          (List.init n_total Fun.id))
+      (List.init n_total Fun.id)
+  in
+  let pick_edge (i, j) =
+    let* keep = if mesh then return true else bool in
+    if not keep then return None
+    else
+      let* s = float_range 0. 1000. in
+      if i = j then return (Some (i, j, s, s))
+      else
+        let* r = float_range 0. 1000. in
+        return (Some (i, j, s, r))
+  in
+  let* edges = flatten_l (List.map pick_edge pairs) in
+  return
+    (Tag.create ~vm_slots
+       ~externals:(List.init n_ext (Printf.sprintf "x%d"))
+       ~components:(List.mapi (fun i n -> (Printf.sprintf "c%d" i, n)) sizes)
+       ~edges:(List.filter_map Fun.id edges)
+       ())
+
+let inside_gen tag =
+  QCheck.Gen.(
+    map Array.of_list
+      (flatten_l
+         (List.init (Tag.n_components tag) (fun c ->
+              int_range 0 (Tag.size tag c)))))
+
+let eq1_cases =
+  let open QCheck.Gen in
+  let gen =
+    let* tag = eq1_tag_gen in
+    let* inside = inside_gen tag in
+    let* comp = int_range 0 (Tag.n_components tag - 1) in
+    let* size = int_range 1 40 in
+    let resized = Tag.with_size tag ~comp ~size in
+    let* inside_resized = inside_gen resized in
+    let* factor = float_range 0. 4. in
+    return
+      [ (tag, inside); (resized, inside_resized); (Tag.scale_bw tag factor, inside) ]
+  in
+  let print cases =
+    String.concat "\n"
+      (List.map
+         (fun (t, inside) ->
+           Printf.sprintf "%s\ninside = [%s]" (Tag.to_string t)
+             (String.concat "; " (Array.to_list (Array.map string_of_int inside))))
+         cases)
+  in
+  QCheck.make ~print gen
+
+let prop_tag_required_bitwise =
+  QCheck.Test.make ~name:"tag_required bitwise = (tag_out, tag_in)" ~count:500
+    eq1_cases
+    (List.for_all (fun (t, inside) ->
+         let o, i = Bandwidth.tag_required t ~inside in
+         Int64.equal (Int64.bits_of_float o)
+           (Int64.bits_of_float (Bandwidth.tag_out t ~inside))
+         && Int64.equal (Int64.bits_of_float i)
+              (Int64.bits_of_float (Bandwidth.tag_in t ~inside))))
+
 let () =
   Alcotest.run "cm_tag"
     [
@@ -766,5 +851,6 @@ let () =
             prop_pipe_le_tag;
             prop_all_inside_zero;
             prop_complement_symmetry;
+            prop_tag_required_bitwise;
           ] );
     ]

@@ -277,6 +277,36 @@ let test_reservation_negative_delta () =
   Reservation.rollback txn;
   check_float "rollback exact" 0. (Tree.reserved_up t s0)
 
+(* Rolling back a reservation restores the uplink's previous value bit
+   for bit, even when undoing by the negated delta would not: on top of a
+   committed 0.1, 0.1 + 0.2 - 0.2 is 0.10000000000000003, and a release
+   clamped at zero loses the amount below it. *)
+let test_reservation_rollback_bitwise () =
+  let t = Tree.create small_spec in
+  let s0 = (Tree.servers t).(0) in
+  let base = Reservation.start t in
+  ignore (Reservation.reserve_bw base ~node:s0 ~up:0.1 ~down:0.1 : bool);
+  let committed = Reservation.commit base in
+  let bits name expect got =
+    Alcotest.(check int64) name (Int64.bits_of_float expect)
+      (Int64.bits_of_float got)
+  in
+  let txn = Reservation.start t in
+  let cp = Reservation.checkpoint txn in
+  Alcotest.(check bool) "reserve 0.2" true
+    (Reservation.reserve_bw txn ~node:s0 ~up:0.2 ~down:0.2);
+  Reservation.rollback_to txn cp;
+  bits "up after rounding rollback" 0.1 (Tree.reserved_up t s0);
+  bits "down after rounding rollback" 0.1 (Tree.reserved_down t s0);
+  Alcotest.(check bool) "release below zero" true
+    (Reservation.reserve_bw txn ~node:s0 ~up:(-0.3) ~down:0.);
+  check_float "clamped at zero" 0. (Tree.reserved_up t s0);
+  Reservation.rollback txn;
+  bits "up after clamped rollback" 0.1 (Tree.reserved_up t s0);
+  Reservation.release t committed;
+  check_float "released" 0. (Tree.reserved_up t s0);
+  Alcotest.(check bool) "index verifies" true (Tree.index_verify t)
+
 (* Property: any interleaving of ledger operations followed by rollback
    restores the tree exactly. *)
 let prop_rollback_restores =
@@ -341,6 +371,8 @@ let () =
             test_reservation_partial_rollback;
           Alcotest.test_case "capacity guard" `Quick test_reservation_capacity_guard;
           Alcotest.test_case "negative delta" `Quick test_reservation_negative_delta;
+          Alcotest.test_case "rollback restores bits" `Quick
+            test_reservation_rollback_bitwise;
           QCheck_alcotest.to_alcotest prop_rollback_restores;
         ] );
     ]
