@@ -49,17 +49,16 @@ bench-fast:
 bench-placement:
 	dune exec bench/main.exe -- $(JOBS_FLAG) placement --metrics-out BENCH_placement.json
 
-# Region-scale placement sweep (2,048 -> 131,072 servers): linear scan
-# vs availability index vs pod-sharded epoch batching, with decision-
-# digest identity and jobs-invariance enforced in-process; writes a
-# metrics document to compare against the committed BENCH_pr8.json
-# baseline.
+# Region-scale placement sweep (2,048 -> 131,072 servers): availability
+# index vs pod-sharded epoch batching, with index-vs-rebuild identity
+# and jobs-invariance enforced in-process; writes a metrics document to
+# compare against the committed BENCH_pr8.json baseline.
 bench-placement-scale:
 	dune exec bench/main.exe -- $(JOBS_FLAG) placement-scale --metrics-out BENCH_placement_scale.json
 
 # Enforcement control-loop benchmark only (10k+ flows, epoch-compiled
-# engine vs per-period reference loop); writes a metrics document to
-# compare against the committed BENCH_pr4.json baseline.
+# loop); writes a metrics document to compare against the committed
+# BENCH_pr4.json baseline.
 bench-enforce:
 	dune exec bench/main.exe -- $(JOBS_FLAG) enforce --metrics-out BENCH_enforce.json
 

@@ -246,19 +246,17 @@ let placement_bench () =
     ];
   Table.print t
 
-(* Region-scale placement sweep (ISSUE 8): the same simulated
-   arrival/departure point at 2,048 -> 131,072 servers, racing the PR 3
-   linear-scan engine against the incremental availability index, plus
-   the pod-sharded epoch-batched path.  Scan and Indexed must produce
-   byte-identical result digests at every size (the engines are
-   decision-identical by construction — this enforces it end to end),
-   and the batched run must be bit-identical at jobs 1 vs the session's
-   jobs count.  Exported as [bench.placement_scale.*] gauges (per-size
-   values keyed by server count) so the CI gate and BENCH_pr8.json carry
-   the sweep. *)
+(* Region-scale placement sweep: the same simulated arrival/departure
+   point at 2,048 -> 131,072 servers through the sequential scheduler
+   (FindLowestSubtree on the incremental availability index) and the
+   pod-sharded epoch-batched path.  After every run the index must
+   match a from-scratch rebuild ([Tree.index_verify]), and the batched
+   run must be bit-identical at jobs 1 vs the session's jobs count.
+   Exported as [bench.placement_scale.*] gauges (per-size values keyed
+   by server count) so the CI gate carries the sweep. *)
 let g_ps_servers_max = Metrics.gauge "bench.placement_scale.servers_max"
-let g_ps_speedup_top = Metrics.gauge "bench.placement_scale.speedup_top"
-let g_ps_digest_match = Metrics.gauge "bench.placement_scale.digest_match"
+let g_ps_index_verified =
+  Metrics.gauge "bench.placement_scale.index_verified"
 let g_ps_jobs_invariant = Metrics.gauge "bench.placement_scale.jobs_invariant"
 
 let scale_specs =
@@ -273,7 +271,6 @@ let placement_scale_bench () =
   let module Tree = Cm_topology.Tree in
   let module Runner = Cm_sim.Runner in
   let module Shard = Cm_placement.Shard in
-  let module Subtree = Cm_placement.Subtree in
   let p = !params in
   let pool =
     Cm_workload.Pool.scale_to_bmax
@@ -307,22 +304,19 @@ let placement_scale_bench () =
     Table.create
       ~caption:
         (Printf.sprintf
-           "Region-scale placement: linear scan vs availability index vs \
-            pod-sharded batching (load 0.9, Bmax 800, seed %d, %d arrivals \
-            per size, batch jobs %d)"
+           "Region-scale placement: availability index vs pod-sharded \
+            batching (load 0.9, Bmax 800, seed %d, %d arrivals per size, \
+            batch jobs %d)"
            p.seed p.arrivals (Par.default_domains ()))
       [
         ("servers", Table.Right);
-        ("scan dec/s", Table.Right);
         ("indexed dec/s", Table.Right);
-        ("speedup", Table.Right);
         ("batched dec/s", Table.Right);
-        ("identical", Table.Right);
+        ("index verified", Table.Right);
       ]
   in
-  let all_match = ref true in
+  let index_verified = ref true in
   let jobs_invariant = ref true in
-  let speedup_top = ref 0. in
   let servers_max = ref 0 in
   List.iter
     (fun (servers, degrees, oversub) ->
@@ -332,18 +326,24 @@ let placement_scale_bench () =
              (Printf.sprintf "bench.placement_scale.%s.%d" fmt servers))
           v
       in
-      let engine_run engine =
-        let tree = make_tree degrees oversub in
-        let sched = Cm_sim.Driver.cm ~engine tree in
-        timed (fun () -> Runner.run sched tree pool cfg)
+      let verified = ref true in
+      let check_index tree =
+        if not (Tree.index_verify tree) then verified := false
       in
-      let scan_wall, scan_r = engine_run Subtree.Scan in
-      let idx_wall, idx_r = engine_run Subtree.Indexed in
+      let idx_wall =
+        let tree = make_tree degrees oversub in
+        let sched = Cm_sim.Driver.cm tree in
+        let wall, _ = timed (fun () -> Runner.run sched tree pool cfg) in
+        check_index tree;
+        wall
+      in
       let batched_run () =
         let tree = make_tree degrees oversub in
         let shard = Shard.create tree in
         let r = timed (fun () -> Runner.run_batched shard pool cfg) in
-        (r, Tree.index_stats tree)
+        let stats = Tree.index_stats tree in
+        check_index tree;
+        (r, stats)
       in
       let (bat_wall, bat_r), (marks, cleans) = batched_run () in
       let saved_jobs = Par.default_domains () in
@@ -354,67 +354,50 @@ let placement_scale_bench () =
           batched_run
       in
       if digest bat_r <> digest bat_r1 then jobs_invariant := false;
-      let matches = digest scan_r = digest idx_r in
-      if not matches then begin
-        all_match := false;
-        Printf.printf
-          "!! digest mismatch at %d servers:\n   scan    %s\n   indexed %s\n"
-          servers (digest scan_r) (digest idx_r)
+      if not !verified then begin
+        index_verified := false;
+        Printf.printf "!! index diverged from a rebuild at %d servers\n"
+          servers
       end;
       let dps wall = float_of_int cfg.Runner.n_arrivals /. wall in
-      let speedup = dps idx_wall /. dps scan_wall in
-      gauge "scan_dps" (dps scan_wall);
       gauge "indexed_dps" (dps idx_wall);
       gauge "batched_dps" (dps bat_wall);
-      gauge "speedup" speedup;
       gauge "index_marks" (float_of_int marks);
       gauge "index_cleans" (float_of_int cleans);
       if Cm_obs.Series.enabled () then begin
         let x = float_of_int servers in
-        Cm_obs.Series.sample_named "placement_scale.scan_dps" ~x
-          (dps scan_wall);
         Cm_obs.Series.sample_named "placement_scale.indexed_dps" ~x
           (dps idx_wall);
         Cm_obs.Series.sample_named "placement_scale.batched_dps" ~x
-          (dps bat_wall);
-        Cm_obs.Series.sample_named "placement_scale.speedup" ~x speedup
+          (dps bat_wall)
       end;
-      speedup_top := speedup;
       servers_max := servers;
       Table.add_row t
         [
           string_of_int servers;
-          Printf.sprintf "%.0f" (dps scan_wall);
           Printf.sprintf "%.0f" (dps idx_wall);
-          Printf.sprintf "%.2fx" speedup;
           Printf.sprintf "%.0f" (dps bat_wall);
-          (if matches then "yes" else "NO");
+          (if !verified then "yes" else "NO");
         ])
     scale_specs;
   Metrics.set g_ps_servers_max (float_of_int !servers_max);
-  Metrics.set g_ps_speedup_top !speedup_top;
-  Metrics.set g_ps_digest_match (if !all_match then 1. else 0.);
+  Metrics.set g_ps_index_verified (if !index_verified then 1. else 0.);
   Metrics.set g_ps_jobs_invariant (if !jobs_invariant then 1. else 0.);
   Table.print t;
-  if not !all_match then
-    failwith "placement-scale: indexed engine diverged from the linear scan";
+  if not !index_verified then
+    failwith "placement-scale: availability index diverged from a rebuild";
   if not !jobs_invariant then
     failwith "placement-scale: batched placement is not jobs-invariant"
 
 (* Enforcement control-loop benchmark: one big two-tier tenant with
    every src VM talking to every dst VM (10k+ concurrent flows over
-   3-link paths), driven for a fixed number of control periods.  The
-   epoch-compiled array engine (Runtime.run) races the pre-optimisation
-   per-period list/Hashtbl loop (Runtime.Reference.step); both produce
-   identical throughputs on a fixed flow set, so the speedup is pure
-   engine overhead.  Results are exported as [bench.enforce.*] gauges
-   (see BENCH_pr4.json). *)
+   3-link paths), driven for a fixed number of control periods through
+   the epoch-compiled array loop (Runtime.run).  Results are exported as
+   [bench.enforce.*] gauges. *)
 let g_enf_flows = Metrics.gauge "bench.enforce.flows"
 let g_enf_links = Metrics.gauge "bench.enforce.links"
 let g_enf_periods = Metrics.gauge "bench.enforce.periods"
 let g_enf_new_us = Metrics.gauge "bench.enforce.period_us_new"
-let g_enf_ref_us = Metrics.gauge "bench.enforce.period_us_reference"
-let g_enf_speedup = Metrics.gauge "bench.enforce.speedup"
 
 let enforce_bench () =
   let module Runtime = Cm_enforce.Runtime in
@@ -473,54 +456,29 @@ let enforce_bench () =
     done;
     (!w, Option.get !res)
   in
-  let new_wall, new_rates =
+  let new_wall, _ =
     best (fun () ->
         let rt = Runtime.create ~tag ~enforcement:Elastic.Tag_gp ~links () in
         Runtime.run rt ~flows ~periods)
   in
-  let ref_wall, ref_rates =
-    best (fun () ->
-        let st =
-          Runtime.Reference.create ~tag ~enforcement:Elastic.Tag_gp ~links ()
-        in
-        let last = ref [] in
-        for _ = 1 to periods do
-          last := Runtime.Reference.step st ~flows
-        done;
-        !last)
-  in
-  let max_diff =
-    List.fold_left2
-      (fun acc (_, a) (_, b) -> Float.max acc (Float.abs (a -. b)))
-      0. new_rates ref_rates
-  in
   let new_us = 1e6 *. new_wall /. float_of_int periods in
-  let ref_us = 1e6 *. ref_wall /. float_of_int periods in
-  let speedup = ref_us /. new_us in
   Metrics.set g_enf_flows (float_of_int n_flows);
   Metrics.set g_enf_links (float_of_int (List.length links));
   Metrics.set g_enf_periods (float_of_int periods);
   Metrics.set g_enf_new_us new_us;
-  Metrics.set g_enf_ref_us ref_us;
-  Metrics.set g_enf_speedup speedup;
   let t =
     Table.create
       ~caption:
         (Printf.sprintf
            "Enforcement control loop: %d backlogged flows (%dx%d all-pairs \
-            trunk) over %d links, %d control periods; epoch-compiled array \
-            engine vs per-period list/Hashtbl reference (best of 3)"
+            trunk) over %d links, %d control periods (best of 3)"
            n_flows n_src n_dst (List.length links) periods)
       [ ("metric", Table.Left); ("value", Table.Right) ]
   in
   Table.add_row t [ "flows"; string_of_int n_flows ];
   Table.add_row t [ "links"; string_of_int (List.length links) ];
   Table.add_row t [ "control periods"; string_of_int periods ];
-  Table.add_row t [ "period (new engine)"; Printf.sprintf "%.0f us" new_us ];
-  Table.add_row t [ "period (reference)"; Printf.sprintf "%.0f us" ref_us ];
-  Table.add_row t [ "speedup"; Printf.sprintf "%.1fx" speedup ];
-  Table.add_row t
-    [ "max |rate diff| (Mbps)"; Printf.sprintf "%.3g" max_diff ];
+  Table.add_row t [ "period"; Printf.sprintf "%.0f us" new_us ];
   Table.print t
 
 (* Million-flow steady-state enforcement: the persistent incremental
@@ -853,12 +811,12 @@ let inference_bench () =
    guarantee peaks) on the identical window.  The workload is a ring of
    64-VM tiers under structured drift (2 rate drifters per epoch, one
    role change every 4th) — the steady-state regime where most rows are
-   constant tick over tick.  In-process gates: the Checked contract
-   (bitwise mean / projection / peaks, AMI parity on labels), bitwise
-   jobs-invariance of the streamed state, a true Checked-engine run at
-   the smallest size, and the >= 5x per-epoch speedup bar at 16,384 VMs
-   on full runs.  Exported as [bench.inference_stream.*] gauges (see
-   BENCH_pr10.json). *)
+   constant tick over tick.  In-process gates: parity with the
+   from-scratch pipeline (bitwise mean / projection / peaks, AMI parity
+   on labels), bitwise jobs-invariance of the streamed state, a run at
+   the smallest size with [Stream.verify] after every push, and the
+   >= 5x per-epoch speedup bar at 16,384 VMs on full runs.  Exported as
+   [bench.inference_stream.*] gauges (see BENCH_pr10.json). *)
 let g_is_n_max = Metrics.gauge "bench.inference_stream.n_vms_max"
 let g_is_parity = Metrics.gauge "bench.inference_stream.parity"
 let g_is_checked = Metrics.gauge "bench.inference_stream.checked_ok"
@@ -960,7 +918,7 @@ let inference_stream_bench () =
               labels)
         in
         cold_total := !cold_total +. cold_wall;
-        (* Parity: the Checked contract, enforced in-process. *)
+        (* Parity with the from-scratch pipeline, enforced in-process. *)
         let mean_ref = Tm.mean_csr (Tm.of_epochs epochs) in
         if not (Csr.equal (Stream.mean s) mean_ref) then begin
           Printf.printf "!! mean diverged at n=%d epoch %d\n" n epoch;
@@ -1036,24 +994,26 @@ let inference_stream_bench () =
           (if !parity then "yes" else "NO");
         ])
     sizes;
-  (* Drive the Checked engine proper at the smallest size: every push
-     asserts the incremental state against cold and raises on
-     divergence. *)
+  (* At the smallest size, verify every push against the from-scratch
+     pipeline (Stream.verify), stopping at the first divergence. *)
   let checked_ok =
-    try
-      let n = List.hd sizes in
-      let rng = Cm_util.Rng.create (p.seed + 1) in
-      let d = Tm.Drift.create ~rng (ring_tag n) in
-      let s = Stream.create ~engine:Stream.Checked ~n () in
-      for epoch = 1 to window + 4 do
-        let role = if epoch = window + 2 then 1 else 0 in
-        ignore
-          (Stream.push s (Tm.Drift.step ~rate_drifters:2 ~role_drifters:role d))
-      done;
-      true
-    with Failure msg ->
-      Printf.printf "!! %s\n" msg;
-      false
+    let n = List.hd sizes in
+    let rng = Cm_util.Rng.create (p.seed + 1) in
+    let d = Tm.Drift.create ~rng (ring_tag n) in
+    let s = Stream.create ~n () in
+    let rec go epoch =
+      epoch > window + 4
+      ||
+      let role = if epoch = window + 2 then 1 else 0 in
+      ignore
+        (Stream.push s (Tm.Drift.step ~rate_drifters:2 ~role_drifters:role d));
+      match Stream.verify s with
+      | Ok () -> go (epoch + 1)
+      | Error msg ->
+          Printf.printf "!! %s\n" msg;
+          false
+    in
+    go 1
   in
   Metrics.set g_is_n_max (float_of_int !n_max);
   Metrics.set g_is_parity (if !parity then 1. else 0.);
@@ -1066,7 +1026,8 @@ let inference_stream_bench () =
     failwith "inference-stream: incremental state diverged from cold";
   if not !jobs_invariant then
     failwith "inference-stream: streamed state is not jobs-invariant";
-  if not checked_ok then failwith "inference-stream: Checked engine tripped";
+  if not checked_ok then
+    failwith "inference-stream: Stream.verify failed on the checked run";
   if (not fast) && !n_max >= 16_384 && !speedup_last < 5. then
     failwith
       (Printf.sprintf

@@ -269,11 +269,9 @@ let run_place metrics example file alg rwcs =
       let tree = Tree.create_default () in
       let sched =
         match alg with
-        | "cm" -> Cm_sim.Driver.cm tree
-        | "ovoc" -> Cm_sim.Driver.oktopus tree
-        | "secondnet" -> Cm_sim.Driver.secondnet tree
-        | other ->
-            invalid_arg (Printf.sprintf "unknown algorithm %S" other)
+        | `Cm -> Cm_sim.Driver.cm tree
+        | `Ovoc -> Cm_sim.Driver.oktopus tree
+        | `Secondnet -> Cm_sim.Driver.secondnet tree
       in
       let ha =
         if rwcs > 0. then Some { Types.rwcs; laa_level = 0 } else None
@@ -324,7 +322,8 @@ let place_cmd =
   in
   let alg_t =
     let doc = "Placement algorithm: cm, ovoc or secondnet." in
-    Arg.(value & opt string "cm" & info [ "alg" ] ~docv:"ALG" ~doc)
+    let algs = [ ("cm", `Cm); ("ovoc", `Ovoc); ("secondnet", `Secondnet) ] in
+    Arg.(value & opt (enum algs) `Cm & info [ "alg" ] ~docv:"ALG" ~doc)
   in
   let rwcs_t =
     let doc = "Guarantee this worst-case survivability (0 = no HA)." in
@@ -404,15 +403,14 @@ let run_simulate metrics kind alg seed arrivals bmax load rwcs replicates jobs
   let pool = Pool.scale_to_bmax pool ~bmax in
   let make : Cm_sim.Driver.maker =
     match alg with
-    | "cm" -> fun t -> Cm_sim.Driver.cm t
-    | "cm+opp" ->
+    | `Cm -> fun t -> Cm_sim.Driver.cm t
+    | `Cm_opp ->
         fun t ->
           Cm_sim.Driver.cm
             ~policy:
               { Cm_placement.Cm.default_policy with opportunistic_ha = true }
             t
-    | "ovoc" -> fun t -> Cm_sim.Driver.oktopus t
-    | other -> invalid_arg (Printf.sprintf "unknown algorithm %S" other)
+    | `Ovoc -> Cm_sim.Driver.oktopus
   in
   let ha = if rwcs > 0. then Some { Types.rwcs; laa_level = 0 } else None in
   let cfg =
@@ -468,7 +466,8 @@ let run_simulate metrics kind alg seed arrivals bmax load rwcs replicates jobs
 let simulate_cmd =
   let alg_t =
     let doc = "Placement algorithm: cm, cm+opp or ovoc." in
-    Arg.(value & opt string "cm" & info [ "alg" ] ~docv:"ALG" ~doc)
+    let algs = [ ("cm", `Cm); ("cm+opp", `Cm_opp); ("ovoc", `Ovoc) ] in
+    Arg.(value & opt (enum algs) `Cm & info [ "alg" ] ~docv:"ALG" ~doc)
   in
   let rwcs_t =
     let doc = "Guarantee this WCS for every tenant (0 = none)." in
@@ -498,6 +497,8 @@ let run_scale example sizes =
     (try Ok (example_tag example) with Invalid_argument m -> Error m)
   with
   | Error m -> `Error (false, m)
+  | Ok _ when List.exists (fun n -> n < 1) sizes ->
+      `Error (true, "--sizes: every size must be >= 1")
   | Ok tag ->
       let tree = Tree.create_default () in
       let sched = Cm_placement.Cm.create tree in
@@ -553,12 +554,15 @@ let scale_cmd =
 (* {1 failures command} *)
 
 let run_failures example rwcs laa =
+  let tree = Tree.create_default () in
+  let top = Tree.n_levels tree - 1 in
   match
     (try Ok (example_tag example) with Invalid_argument m -> Error m)
   with
   | Error m -> `Error (false, m)
+  | Ok _ when laa < 0 || laa > top ->
+      `Error (true, Printf.sprintf "--level: must be in 0..%d" top)
   | Ok tag ->
-      let tree = Tree.create_default () in
       let sched = Cm_placement.Cm.create tree in
       let ha =
         if rwcs > 0. then Some { Types.rwcs; laa_level = laa } else None
@@ -599,7 +603,10 @@ let failures_cmd =
     Arg.(value & opt float 0. & info [ "rwcs" ] ~docv:"FRACTION" ~doc)
   in
   let laa_t =
-    let doc = "Fault-domain level: 0 = server, 1 = rack." in
+    let doc =
+      "Fault-domain level: 0 = server, 1 = rack, up to 3 = the whole \
+       default datacenter."
+    in
     Arg.(value & opt int 0 & info [ "level" ] ~docv:"LEVEL" ~doc)
   in
   let doc =

@@ -24,8 +24,8 @@ let eps = 1e-9
    flow order (ascending external flow id), re-solving a clean
    component reproduces its rates bit-for-bit — which makes the
    incremental path bitwise-identical to a from-scratch solve, and lets
-   the [Checked] differential mode compare against {!with_guarantees}
-   with zero tolerance. *)
+   [Runtime.verify] compare against {!with_guarantees} with zero
+   tolerance. *)
 
 module Inc = struct
   type stats = {

@@ -2,12 +2,6 @@ type config = { probe_gain : float; decay : float; headroom : float }
 
 let default_config = { probe_gain = 0.1; decay = 0.1; headroom = 0. }
 
-(* Steady-state solver engine (the PR 8 idiom): [Incremental] diffs
-   consecutive epochs' flow sets into a persistent Maxmin.Inc solver,
-   [Cold] rebuilds the whole universe per epoch (the PR 4 behaviour),
-   [Checked] runs both and fails on any bitwise rate divergence. *)
-type engine = Incremental | Cold | Checked
-
 (* Control-loop telemetry: guarantee-partitioning recomputations (one
    per epoch), per-pair rate-limiter updates, and the dynamic driver's
    convergence behaviour. *)
@@ -45,7 +39,6 @@ type limiter = { mutable l_rate : float; mutable l_period : int }
 
 type t = {
   cfg : config;
-  engine : engine;
   tag : Cm_tag.Tag.t;
   enforcement : Elastic.enforcement;
   (* Dense link table: [link_ids.(i)] is the external id of link index
@@ -57,19 +50,17 @@ type t = {
   loads : float array;
   limits : (Elastic.active_pair, limiter) Hashtbl.t;
   mutable period : int;  (* total control periods ever run *)
-  (* Persistent steady-state solver (Incremental/Checked engines): the
-     fluid fixed point lives on the effective capacities.  A pair keeps
-     one stable solver flow id for as long as it stays active, so
-     consecutive epochs diff into the solver instead of resolving
-     cold. *)
+  (* Persistent steady-state solver: the fluid fixed point lives on the
+     effective capacities.  A pair keeps one stable solver flow id for
+     as long as it stays active, so consecutive epochs diff into the
+     solver instead of resolving cold. *)
   solver : Maxmin.Inc.t;
   solver_ids : (Elastic.active_pair, int) Hashtbl.t;
   solver_flows : (int, Maxmin.flow) Hashtbl.t;
   mutable next_flow_id : int;
 }
 
-let create ?(config = default_config) ?(engine = Incremental) ~tag ~enforcement
-    ~links () =
+let create ?(config = default_config) ~tag ~enforcement ~links () =
   let links = Array.of_list links in
   let n = Array.length links in
   let link_ids = Array.map (fun (l : Maxmin.link) -> l.link_id) links in
@@ -85,7 +76,6 @@ let create ?(config = default_config) ?(engine = Incremental) ~tag ~enforcement
   in
   {
     cfg = config;
-    engine;
     tag;
     enforcement;
     link_ids;
@@ -289,27 +279,13 @@ let eff_links t =
        (fun i id -> { Maxmin.link_id = id; capacity = t.eff_caps.(i) })
        t.link_ids)
 
-let steady_state_cold t es =
-  let flows =
-    List.init es.n (fun i ->
-        {
-          Maxmin.flow_id = i;
-          path = es.specs.(i).path;
-          demand = es.demand.(i);
-          guarantee = es.guarantee.(i);
-        })
-  in
-  let granted = Maxmin.with_guarantees ~links:(eff_links t) ~flows in
-  Array.to_list
-    (Array.mapi (fun i f -> (f.pair, snd granted.(i))) es.specs)
-
 (* Incremental steady state: diff this epoch's flow set into the
    persistent solver.  Each pair keeps a stable solver id across
    epochs, so an unchanged flow costs one lookup and zero solver work;
    arrivals, departures and GP-guarantee changes dirty exactly the
    links on their paths, and [Inc.solve] re-converges only the sharing
    components that frontier reaches. *)
-let steady_state_inc t es =
+let steady_state t es =
   (* Stable ids for this epoch's pairs, in epoch order. *)
   let flow_ids = Array.make es.n 0 in
   for i = 0 to es.n - 1 do
@@ -364,40 +340,29 @@ let steady_state_inc t es =
        (fun i f -> (f.pair, Maxmin.Inc.rate t.solver flow_ids.(i)))
        es.specs)
 
-(* [Checked]: the incremental fixed point must be bitwise identical to
-   a from-scratch [with_guarantees] over the same stable flow ids (the
-   ids pin the canonical per-component solve order, so any difference
-   is a dirty-frontier bug, not float noise). *)
-let steady_state_checked t es =
-  let inc = steady_state_inc t es in
+(* The incremental fixed point must be bitwise identical to a
+   from-scratch [with_guarantees] over the same stable flow ids (the ids
+   pin the canonical per-component solve order, so any difference is a
+   dirty-frontier bug, not float noise). *)
+let verify t =
   let flows =
-    List.init es.n (fun i ->
-        {
-          Maxmin.flow_id =
-            Hashtbl.find t.solver_ids es.specs.(i).pair;
-          path = es.specs.(i).path;
-          demand = es.demand.(i);
-          guarantee = es.guarantee.(i);
-        })
+    List.sort
+      (fun (a : Maxmin.flow) b -> compare a.flow_id b.flow_id)
+      (Hashtbl.fold (fun _ f acc -> f :: acc) t.solver_flows [])
   in
   let oracle = Maxmin.with_guarantees ~links:(eff_links t) ~flows in
-  List.iteri
-    (fun i (_, r) ->
-      let o = snd oracle.(i) in
-      if r <> o then
-        failwith
-          (Printf.sprintf
-             "Runtime.steady_state: incremental solver diverged from the \
-              Maxmin oracle (flow %d: incremental %.17g, oracle %.17g)"
-             (fst oracle.(i)) r o))
-    inc;
-  inc
-
-let steady_state t es =
-  match t.engine with
-  | Cold -> steady_state_cold t es
-  | Incremental -> steady_state_inc t es
-  | Checked -> steady_state_checked t es
+  let diverged (id, o) =
+    let r = Maxmin.Inc.rate t.solver id in
+    Int64.bits_of_float r <> Int64.bits_of_float o
+  in
+  match Array.find_opt diverged oracle with
+  | None -> Ok ()
+  | Some (id, o) ->
+      Error
+        (Printf.sprintf
+           "Runtime.verify: incremental solver diverged from the Maxmin \
+            oracle (flow %d: incremental %.17g, oracle %.17g)"
+           id (Maxmin.Inc.rate t.solver id) o)
 
 (* Convergence detection.  The AIMD transient has two regimes a naive
    per-period test confuses: the saw-tooth (large per-period deltas that
@@ -506,92 +471,3 @@ let run_dynamic ?(eps = 0.02) ?(max_periods = 512) t ~epochs =
 
 let throughput_of result pair =
   match List.assoc_opt pair result with Some r -> r | None -> 0.
-
-(* {1 Reference implementation}
-
-   The pre-optimisation loop, kept verbatim as a baseline: lists and
-   hash tables rebuilt every period, GP recomputed every period.  Only
-   the effective-capacity fix is mirrored (both implementations must
-   agree at headroom > 0); the per-period limiter reset is unchanged,
-   which is equivalent to persistence as long as the flow set is fixed —
-   the only setting the reference is used in. *)
-module Reference = struct
-  type state = {
-    cfg : config;
-    tag : Cm_tag.Tag.t;
-    enforcement : Elastic.enforcement;
-    capacities : (int, float) Hashtbl.t;
-    limits : (Elastic.active_pair, float) Hashtbl.t;
-  }
-
-  let create ?(config = default_config) ~tag ~enforcement ~links () =
-    let capacities = Hashtbl.create 16 in
-    List.iter
-      (fun (l : Maxmin.link) -> Hashtbl.replace capacities l.link_id l.capacity)
-      links;
-    { cfg = config; tag; enforcement; capacities; limits = Hashtbl.create 32 }
-
-  let capacity_of t l =
-    match Hashtbl.find_opt t.capacities l with
-    | Some c -> c
-    | None -> invalid_arg (Printf.sprintf "Runtime: unknown link %d" l)
-
-  let effective_capacity_of t l = capacity_of t l *. (1. -. t.cfg.headroom)
-
-  let step t ~flows =
-    let pairs = List.map (fun (f : flow_spec) -> f.pair) flows in
-    let demands = List.map (fun (f : flow_spec) -> f.demand) flows in
-    let guarantees =
-      Elastic.pair_guarantees ~demands t.tag t.enforcement ~pairs
-    in
-    let guarantee_of = Hashtbl.create 16 in
-    List.iter (fun (p, g) -> Hashtbl.replace guarantee_of p g) guarantees;
-    let limit f =
-      let g = Option.value ~default:0. (Hashtbl.find_opt guarantee_of f.pair) in
-      let l = Option.value ~default:g (Hashtbl.find_opt t.limits f.pair) in
-      Float.min f.demand (Float.max g l)
-    in
-    let loads = Hashtbl.create 16 in
-    List.iter
-      (fun f ->
-        let r = limit f in
-        List.iter
-          (fun l ->
-            Hashtbl.replace loads l
-              (r +. Option.value ~default:0. (Hashtbl.find_opt loads l)))
-          f.path)
-      flows;
-    let congested f =
-      List.exists
-        (fun l ->
-          Option.value ~default:0. (Hashtbl.find_opt loads l)
-          > effective_capacity_of t l +. 1e-9)
-        f.path
-    in
-    let throughput f =
-      let r = limit f in
-      List.fold_left
-        (fun acc l ->
-          let load = Option.value ~default:0. (Hashtbl.find_opt loads l) in
-          let eff = effective_capacity_of t l in
-          if load > eff && load > 0. then acc *. (eff /. load) else acc)
-        r f.path
-    in
-    let result = List.map (fun f -> (f.pair, throughput f)) flows in
-    let next_limits = Hashtbl.create 16 in
-    List.iter
-      (fun f ->
-        let g =
-          Option.value ~default:0. (Hashtbl.find_opt guarantee_of f.pair)
-        in
-        let r = limit f in
-        let r' =
-          if congested f then g +. ((r -. g) *. (1. -. t.cfg.decay))
-          else r +. (t.cfg.probe_gain *. Float.max g 1.)
-        in
-        Hashtbl.replace next_limits f.pair (Float.min f.demand r'))
-      flows;
-    Hashtbl.reset t.limits;
-    Hashtbl.iter (fun p r -> Hashtbl.replace t.limits p r) next_limits;
-    result
-end

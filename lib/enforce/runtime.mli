@@ -27,13 +27,12 @@
 
     {b Steady state.}  The AIMD loop saw-tooths around the static
     allocation of {!Maxmin.with_guarantees} over the epoch's GP
-    guarantees and effective (headroom-discounted) capacities.  Under
-    the default {!Incremental} engine that fixed point is maintained by
-    a persistent {!Maxmin.Inc} solver: each active pair keeps a stable
-    solver flow id across epochs, consecutive epochs are diffed into
-    the solver, and only the sharing components touched by the delta
-    are re-converged — bitwise identical to a from-scratch solve (see
-    {!engine}).
+    guarantees and effective (headroom-discounted) capacities.  That
+    fixed point is maintained by a persistent {!Maxmin.Inc} solver:
+    each active pair keeps a stable solver flow id across epochs,
+    consecutive epochs are diffed into the solver, and only the sharing
+    components touched by the delta are re-converged — bitwise identical
+    to a from-scratch solve (see {!verify}).
     {!run_dynamic} detects when the transient has damped — the maximum
     per-flow movement of EWMA-smoothed throughput over a whole
     measurement window stays below [eps] (relative) for consecutive
@@ -58,15 +57,6 @@ type config = {
 
 val default_config : config
 
-(** Steady-state solver engine (the same idiom as the placement
-    [Scan]/[Indexed]/[Checked] switch): [Incremental] (default) diffs
-    epochs into a persistent {!Maxmin.Inc} solver; [Cold] rebuilds and
-    resolves the whole flow universe per epoch; [Checked] runs the
-    incremental path {e and} the from-scratch {!Maxmin.with_guarantees}
-    oracle over the same stable flow ids and raises [Failure] on any
-    bitwise rate divergence. *)
-type engine = Incremental | Cold | Checked
-
 type flow_spec = {
   pair : Elastic.active_pair;
   path : int list;  (** Link ids (see {!Maxmin.link}). *)
@@ -77,15 +67,12 @@ type t
 
 val create :
   ?config:config ->
-  ?engine:engine ->
   tag:Cm_tag.Tag.t ->
   enforcement:Elastic.enforcement ->
   links:Maxmin.link list ->
   unit ->
   t
-(** A runtime bound to one tenant's TAG and a set of links.  [engine]
-    selects the steady-state solver strategy (default
-    {!Incremental}). *)
+(** A runtime bound to one tenant's TAG and a set of links. *)
 
 val step : t -> flows:flow_spec list -> (Elastic.active_pair * float) list
 (** Run one control period with the given active flows and return each
@@ -170,25 +157,10 @@ val throughput_of :
   (Elastic.active_pair * float) list -> Elastic.active_pair -> float
 (** Lookup helper (0 if the pair is absent). *)
 
-(** {1 Reference implementation} *)
-
-module Reference : sig
-  (** The pre-optimisation control loop: per-period lists and hash
-      tables, GP recomputed every period.  Same per-period semantics as
-      {!step} on a fixed flow set (it does {e not} implement cross-epoch
-      limiter decay), kept as the baseline for differential tests and
-      for the [bench enforce] speedup measurement. *)
-
-  type state
-
-  val create :
-    ?config:config ->
-    tag:Cm_tag.Tag.t ->
-    enforcement:Elastic.enforcement ->
-    links:Maxmin.link list ->
-    unit ->
-    state
-
-  val step :
-    state -> flows:flow_spec list -> (Elastic.active_pair * float) list
-end
+val verify : t -> (unit, string) result
+(** Recompute the steady state from scratch and compare: [Ok ()] iff
+    every rate the persistent {!Maxmin.Inc} solver holds (the flows of
+    the last {!run_dynamic} epoch) is bitwise equal to
+    {!Maxmin.with_guarantees} over the same flows, stable ids and
+    effective capacities.  Pure: it leaves the solver untouched.  Tests
+    call it between epochs. *)

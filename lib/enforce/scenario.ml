@@ -64,7 +64,7 @@ type churn_result = {
 
 let x_guarantee = 450.
 
-let churn ?eps ?max_periods ?engine ?(n_senders = 5) ?(p_active = 0.5) ~seed
+let churn ?eps ?max_periods ?(n_senders = 5) ?(p_active = 0.5) ~seed
     ~epochs enforcement =
   if epochs <= 0 then invalid_arg "Scenario.churn: epochs must be positive";
   let tag = Examples.fig13 () in
@@ -86,7 +86,7 @@ let churn ?eps ?max_periods ?engine ?(n_senders = 5) ?(p_active = 0.5) ~seed
                   else [])))
   in
   let rt =
-    Runtime.create ?engine ~tag ~enforcement
+    Runtime.create ~tag ~enforcement
       ~links:[ { Maxmin.link_id = bottleneck_link; capacity = 1000. } ]
       ()
   in
@@ -152,7 +152,7 @@ type failures_result = {
   reconverge_periods_mean : float;
 }
 
-let failures ?eps ?max_periods ?engine ?(n_racks = 4) ?(vms_per_rack = 4)
+let failures ?eps ?max_periods ?(n_racks = 4) ?(vms_per_rack = 4)
     ?(recovery = `Lag 1) ?(rate = 0.15) ?mean_repair ~seed ~epochs enforcement =
   if epochs <= 0 then invalid_arg "Scenario.failures: epochs must be positive";
   if n_racks <= 1 then invalid_arg "Scenario.failures: need at least 2 racks";
@@ -253,7 +253,7 @@ let failures ?eps ?max_periods ?engine ?(n_racks = 4) ?(vms_per_rack = 4)
     epoch_flows.(e) <- !flows;
     epoch_pairs.(e) <- !pairs
   done;
-  let rt = Runtime.create ?engine ~tag ~enforcement ~links () in
+  let rt = Runtime.create ~tag ~enforcement ~links () in
   let r = Runtime.run_dynamic ?eps ?max_periods rt ~epochs:(Array.to_list epoch_flows) in
   let violations = ref 0 in
   (* Series family: one per (enforcement, recovery) row, matching how

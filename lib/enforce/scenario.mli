@@ -39,7 +39,6 @@ type churn_result = {
 val churn :
   ?eps:float ->
   ?max_periods:int ->
-  ?engine:Runtime.engine ->
   ?n_senders:int ->
   ?p_active:float ->
   seed:int ->
@@ -54,9 +53,7 @@ val churn :
     [Tag_gp] every epoch's steady X->Z stays at or above the 450 Mbps
     trunk guarantee; with [Hose_gp] it collapses whenever enough senders
     are active — the per-trunk vs aggregate-hose comparison of §5 under
-    churn.  [engine] selects the steady-state solver strategy
-    ({!Runtime.engine}; [Checked] re-verifies every epoch against the
-    from-scratch oracle). *)
+    churn. *)
 
 (** {1 Enforcement under rack failures (ISSUE 6)} *)
 
@@ -92,7 +89,6 @@ type failures_result = {
 val failures :
   ?eps:float ->
   ?max_periods:int ->
-  ?engine:Runtime.engine ->
   ?n_racks:int ->
   ?vms_per_rack:int ->
   ?recovery:[ `None | `Lag of int ] ->

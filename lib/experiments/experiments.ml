@@ -601,13 +601,10 @@ let enforce_churn ~seed =
   in
   (* Both rows rebuild the identical seeded churn trace, so the TAG and
      hose rows face the same arrival/departure schedule and the sweep
-     fans out over the domain pool deterministically.  The Checked
-     engine re-verifies every epoch's incremental steady state against
-     the from-scratch Maxmin oracle, so the published table doubles as
-     a differential run. *)
+     fans out over the domain pool deterministically. *)
   Par.map
     (fun e ->
-      let r = Scenario.churn ~engine:Cm_enforce.Runtime.Checked ~seed ~epochs e in
+      let r = Scenario.churn ~seed ~epochs e in
       [
         Elastic.enforcement_to_string e;
         string_of_int (List.length r.points);

@@ -39,7 +39,7 @@ val component_peaks :
     aggregate rate matrix.  Each epoch folds its stored entries in
     row-major order — the reference order the streaming engine's
     per-component re-derivation must (and does) reproduce bit-for-bit,
-    which is what its [Checked] mode asserts. *)
+    which is what {!Stream.verify} checks. *)
 
 val tag_of_peaks : sizes:int array -> float array -> Cm_tag.Tag.t
 (** Build the inferred TAG from {!component_peaks} output.

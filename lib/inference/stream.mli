@@ -31,14 +31,8 @@
       a deployment would use to renegotiate guarantees with the
       placement layer.
 
-    Engines mirror the [Maxmin] runtime switch: [Cold] recomputes the
-    whole pipeline from the window every tick (the reference),
-    [Incremental] maintains it, and [Checked] runs [Incremental] and
-    asserts agreement with [Cold] every tick (bitwise for the mean,
-    mirrors, similarity graph and guarantee peaks; exact labels on full
-    ticks and AMI [>= ami_parity] otherwise). *)
-
-type engine = Cold | Incremental | Checked
+    {!verify} checks the maintained state against the batch pipeline
+    recomputed from the window. *)
 
 type cause =
   | Label_churn  (** Labelling changed on too many VMs in one tick. *)
@@ -70,15 +64,15 @@ type config = {
   shift_threshold : float;
       (** Relative guarantee-shift drift threshold (default 0.25). *)
   ami_parity : float;
-      (** [Checked]: minimum AMI between incremental and cold labels on
-          ticks where the engines may legitimately differ (default 0.8). *)
+      (** {!verify}: minimum AMI between incremental and batch labels on
+          ticks where they may legitimately differ (default 0.8). *)
 }
 
 val default_config : config
 
 type stats = {
   tick : int;
-  full : bool;  (** Whole pipeline recomputed (cold / warm-up / dirty). *)
+  full : bool;  (** Whole pipeline recomputed (warm-up / dirty). *)
   fallback : bool;  (** Modularity fallback re-cluster fired. *)
   dirty_rows : int;  (** Window rows whose mean changed. *)
   dirty_vertices : int;  (** Vertices whose feature vector changed. *)
@@ -93,15 +87,14 @@ type stats = {
 type t
 
 val create :
-  ?config:config -> ?engine:engine -> ?series_prefix:string -> n:int ->
-  unit -> t
-(** Engine over [n]-VM epochs (default [Incremental]).
+  ?config:config -> ?series_prefix:string -> n:int -> unit -> t
+(** Streaming inference over [n]-VM epochs.
 
     When [series_prefix] is given, every {!push} samples the
     per-epoch [Cm_obs] series [<prefix>.label_churn], [.ami_prev],
     [.dirty_frac] and [.modularity] at [x = tick].  Series rings are
     process-global with a monotone x axis, so give each observed
-    engine its own prefix (e.g. ["infer.stream.16384"]); engines
+    stream its own prefix (e.g. ["infer.stream.16384"]); streams
     created without one stay silent (counters are still maintained).
     @raise Invalid_argument on a non-positive [n] or invalid config. *)
 
@@ -109,8 +102,16 @@ val push : ?domains:int -> t -> Cm_util.Csr.t -> stats
 (** Ingest one epoch and refresh labelling, guarantees and drift state.
     [domains] parallelizes the dirty similarity rows ([Cm_util.Par];
     the result is independent of the domain count).
-    @raise Invalid_argument on a dimension mismatch.
-    @raise Failure from the [Checked] engine on divergence. *)
+    @raise Invalid_argument on a dimension mismatch. *)
+
+val verify : t -> (unit, string) result
+(** Recompute the batch pipeline over the current window and compare:
+    [Ok ()] iff the windowed mean, its mirrors, the similarity graph
+    ({!Similarity.projection_csr}), component sizes and guarantee peaks
+    ({!Infer.component_peaks}) are bitwise equal, and the labels equal
+    {!Louvain.cluster_csr}'s after a full or fallback tick (AMI
+    [>= ami_parity] after an incremental one).  [Ok ()] before the first
+    {!push}.  Pure; tests call it between pushes. *)
 
 val n_vms : t -> int
 

@@ -401,6 +401,9 @@ let to_csv t =
     t.epochs;
   Buffer.contents buf
 
+let max_csv_vms = 65_536
+let max_csv_epochs = 256
+
 let of_csv text =
   let lines = String.split_on_char '\n' text in
   let cells = ref [] in
@@ -418,6 +421,16 @@ let of_csv text =
                 int_of_string_opt j,
                 float_of_string_opt rate )
             with
+            | Some e, Some _, Some _, Some _ when e >= max_csv_epochs ->
+                err :=
+                  Some
+                    (Printf.sprintf "line %d: epoch %d exceeds the limit of %d"
+                       (lineno + 1) e max_csv_epochs)
+            | Some _, Some i, Some j, Some _ when max i j >= max_csv_vms ->
+                err :=
+                  Some
+                    (Printf.sprintf "line %d: VM %d exceeds the limit of %d"
+                       (lineno + 1) (max i j) max_csv_vms)
             | Some e, Some i, Some j, Some rate
               when e >= 0 && i >= 0 && j >= 0 && rate >= 0. ->
                 max_epoch := max !max_epoch e;

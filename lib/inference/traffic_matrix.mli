@@ -105,9 +105,19 @@ val mean_matrix : t -> float array array
 
 val to_csv : t -> string
 
+val max_csv_vms : int
+(** Largest VM count {!of_csv} accepts (65,536; four times the largest
+    population the repo infers). *)
+
+val max_csv_epochs : int
+(** Largest epoch count {!of_csv} accepts (256).  Every epoch is an
+    [n]-row matrix, so parsing allocates O(epochs × VMs) words even for
+    a single cell; the two bounds cap that at ~16.8M rows. *)
+
 val of_csv : string -> (t, string) result
 (** Parses the {!to_csv} format.  Dimensions are inferred from the
     largest indices; missing cells are 0.
     @return [Error] with a line-numbered message on malformed input,
     including duplicate [(epoch,src,dst)] cells (previously the last
-    line silently won). *)
+    line silently won) and an epoch or VM index at or beyond
+    {!max_csv_epochs} / {!max_csv_vms}. *)

@@ -61,19 +61,17 @@ let default_policy =
 type t = {
   the_tree : Tree.t;
   the_policy : policy;
-  the_engine : Subtree.engine;
   (* Moving average of arriving tenants' mean per-VM demand (Mbps); the
      "expected contribution of future tenant VMs" of §4.5. *)
   mutable demand_ewma : float;
   mutable n_seen : int;
 }
 
-let create ?(policy = default_policy) ?(engine = Subtree.Indexed) the_tree =
-  { the_tree; the_policy = policy; the_engine = engine; demand_ewma = 0.; n_seen = 0 }
+let create ?(policy = default_policy) the_tree =
+  { the_tree; the_policy = policy; demand_ewma = 0.; n_seen = 0 }
 
 let tree t = t.the_tree
 let policy t = t.the_policy
-let engine t = t.the_engine
 
 let total = Array.fold_left ( + ) 0
 
@@ -727,8 +725,8 @@ let place_scoped sched ~root ~clamps ~observe (req : Types.request) =
     end
     else
       match
-        Subtree.find_lowest_under ~engine:sched.the_engine tree ~root ~clamps
-          ~total_vms:slot_demand ~ext ~level
+        Subtree.find_lowest_under tree ~root ~clamps ~total_vms:slot_demand
+          ~ext ~level
       with
       | None -> attempt (level + 1)
       | Some st ->
@@ -819,8 +817,7 @@ let grow sched (placement : Types.placement) ~comp ~delta =
     if level > top then Error (reject ())
     else
       match
-        Subtree.find_lowest ~engine:sched.the_engine tree
-          ~total_vms:delta_slots ~ext:(0., 0.) ~level
+        Subtree.find_lowest tree ~total_vms:delta_slots ~ext:(0., 0.) ~level
       with
       | None -> attempt (level + 1)
       | Some st ->

@@ -42,14 +42,10 @@ type t
 (** A scheduler bound to one datacenter tree.  It carries the
     moving-average demand estimator used by opportunistic HA. *)
 
-val create :
-  ?policy:policy -> ?engine:Subtree.engine -> Cm_topology.Tree.t -> t
-(** [engine] selects the subtree-search implementation (default
-    [Indexed]; all engines are decision-identical — see {!Subtree}). *)
+val create : ?policy:policy -> Cm_topology.Tree.t -> t
 
 val tree : t -> Cm_topology.Tree.t
 val policy : t -> policy
-val engine : t -> Subtree.engine
 
 val place :
   t -> Types.request -> (Types.placement, Types.reject_reason) result

@@ -3,9 +3,9 @@ module Tag = Cm_tag.Tag
 module Bandwidth = Cm_tag.Bandwidth
 module State = Alloc_state
 
-type t = { the_tree : Tree.t; the_engine : Subtree.engine }
+type t = { the_tree : Tree.t }
 
-let create ?(engine = Subtree.Indexed) the_tree = { the_tree; the_engine = engine }
+let create the_tree = { the_tree }
 let tree t = t.the_tree
 
 (* Pack as many of [want] VMs of [comp] as possible onto one server,
@@ -111,8 +111,7 @@ let place t (req : Types.request) =
     if level > top then Error (reject ())
     else
       match
-        Subtree.find_lowest ~engine:t.the_engine the_tree ~total_vms ~ext
-          ~level
+        Subtree.find_lowest the_tree ~total_vms ~ext ~level
       with
       | None -> attempt (level + 1)
       | Some st ->

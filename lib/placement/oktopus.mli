@@ -17,9 +17,7 @@
 
 type t
 
-val create : ?engine:Subtree.engine -> Cm_topology.Tree.t -> t
-(** [engine] selects the subtree-search implementation (default
-    [Indexed]; all engines are decision-identical). *)
+val create : Cm_topology.Tree.t -> t
 
 val tree : t -> Cm_topology.Tree.t
 

@@ -28,7 +28,7 @@ type t = {
   mutable epochs : int;
 }
 
-let create ?policy ?engine ?pod_level tree =
+let create ?policy ?pod_level tree =
   let top = Tree.n_levels tree - 1 in
   let pod_level = Option.value pod_level ~default:(top - 1) in
   if pod_level < 1 || pod_level > top - 1 then
@@ -38,8 +38,8 @@ let create ?policy ?engine ?pod_level tree =
     the_tree = tree;
     pod_level;
     pods;
-    pod_scheds = Array.map (fun _ -> Cm.create ?policy ?engine tree) pods;
-    coordinator = Cm.create ?policy ?engine tree;
+    pod_scheds = Array.map (fun _ -> Cm.create ?policy tree) pods;
+    coordinator = Cm.create ?policy tree;
     epochs = 0;
   }
 
@@ -69,13 +69,11 @@ let external_demand t tag =
    is the request's [external_demand]. *)
 let route t ~ext req =
   let slot_demand = Tag.total_slot_demand req.Types.tag in
-  let engine = Cm.engine t.coordinator in
   let rec probe level =
     if level >= t.pod_level then -1
     else
       match
-        Subtree.find_lowest ~engine t.the_tree ~total_vms:slot_demand ~ext
-          ~level
+        Subtree.find_lowest t.the_tree ~total_vms:slot_demand ~ext ~level
       with
       | Some st -> pod_index t st
       | None -> probe (level + 1)

@@ -21,7 +21,6 @@ type t
 
 val create :
   ?policy:Cm.policy ->
-  ?engine:Subtree.engine ->
   ?pod_level:int ->
   Cm_topology.Tree.t ->
   t

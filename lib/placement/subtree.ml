@@ -3,78 +3,22 @@ module Metrics = Cm_obs.Metrics
 
 let m_index_queries = Metrics.counter "cm.index.queries"
 
-(* Three interchangeable engines answer FindLowestSubtree.  [Scan] is the
-   PR 3 single top-down pass; [Indexed] descends the tree's incremental
-   availability index with admissible prunes and a branch-and-bound
-   ordering on the packed (fewest free slots, lowest id) key; [Checked]
-   runs both and raises on any disagreement.  All three return the same
-   node for every tree state: the key is unique per node (the id is
-   embedded), so the feasible argmin is independent of exploration
-   order. *)
-type engine = Scan | Indexed | Checked
-
-let engine_name = function
-  | Scan -> "scan"
-  | Indexed -> "indexed"
-  | Checked -> "checked"
-
-(* One top-down pass computes every candidate's path availability: the
-   (up, down) headroom clamps only shrink while descending, so each tree
-   edge is visited at most once instead of once per candidate root walk.
-   Two prunes cut whole branches: a subtree with fewer free slots than
-   the tenant cannot contain a fitting node (free counts are subtree
-   sums), and a path whose clamped availability already fails [ext]
-   cannot recover below.  The selection key — fewest free slots, then
-   lowest id — is order-independent, so the result is bit-identical to
-   the original per-candidate scan over [nodes_at_level].
-
-   [root]/[clamps] scope the search: [clamps] must be the (up, down)
-   availability accumulated from the tree root down to and including
-   [root]'s own uplink (i.e. [Tree.available_to_root root]).  With the
-   tree root and infinite clamps this is exactly the global search. *)
-let find_lowest_scan tree ~root ~clamps:(u0, d0) ~total_vms
-    ~ext:(ext_out, ext_in) ~level =
-  let eps = Tree.bw_epsilon in
-  let best = ref (-1) in
-  let best_free = ref max_int in
-  let rec scan id lvl up down =
-    if lvl = level then begin
-      let free = Tree.free_slots_subtree tree id in
-      if free < !best_free || (free = !best_free && id < !best) then begin
-        best_free := free;
-        best := id
-      end
-    end
-    else
-      Array.iter
-        (fun c ->
-          if Tree.free_slots_subtree tree c >= total_vms then begin
-            let up = Float.min up (Tree.available_up tree c) in
-            let down = Float.min down (Tree.available_down tree c) in
-            if up +. eps >= ext_out && down +. eps >= ext_in then
-              scan c (lvl - 1) up down
-          end)
-        (Tree.children tree id)
-  in
-  if
-    Tree.free_slots_subtree tree root >= total_vms
-    && u0 +. eps >= ext_out
-    && d0 +. eps >= ext_in
-  then scan root (Tree.level tree root) u0 d0;
-  if !best < 0 then None else Some !best
-
-(* Index descent.  Equivalent to [find_lowest_scan] because every prune
+(* FindLowestSubtree by descent of the tree's incremental availability
+   index.  The answer is the per-candidate argmin over the level's nodes
+   (fewest free slots, then lowest id) among those with room for the
+   tenant and enough clamped path-to-root bandwidth for [ext]; the
+   descent finds it without visiting every candidate because every prune
    is admissible and the selection key is unique:
 
    - [index_min_feasible_free c >= total_vms] is required for any
      level-[level] descendant of [c] to fit the tenant, and it subsumes
-     the scan's own [free c >= total_vms] intermediate checks (free
-     counts are subtree sums, so they pass whenever a candidate exists
-     below); [max_int] means no descendant fits at all;
+     a per-edge [free c >= total_vms] check (free counts are subtree
+     sums, so it passes whenever a candidate exists below); [max_int]
+     means no descendant fits at all;
    - [min clamp index_max_ext + eps < ext] implies every candidate's
-     clamped path availability fails the same comparison the scan makes
-     (the index stores the max over candidates of the path minimum), and
-     it subsumes the scan's per-edge clamp check;
+     clamped path availability fails the comparison (the index stores
+     the max over candidates of the path minimum), and it subsumes a
+     per-edge clamp check;
    - children are explored in ascending id order, and sibling subtrees
      hold disjoint, ordered id ranges at every level, so once a best key
      with free value [f*] is held, a later sibling whose cheapest
@@ -84,7 +28,7 @@ let find_lowest_scan tree ~root ~clamps:(u0, d0) ~total_vms
      minimum key, which full (0-free) subtrees pin below any feasible
      key at steady state — prunes exactly the regions a best-fit search
      must not waste time in. *)
-let find_lowest_indexed tree ~root ~clamps:(u0, d0) ~total_vms
+let find_lowest_under tree ~root ~clamps:(u0, d0) ~total_vms
     ~ext:(ext_out, ext_in) ~level =
   Metrics.incr m_index_queries;
   let eps = Tree.bw_epsilon in
@@ -136,28 +80,9 @@ let find_lowest_indexed tree ~root ~clamps:(u0, d0) ~total_vms
     else go root u0 d0;
   if !best = max_int then None else Some (Tree.index_key_id tree !best)
 
-let find_lowest_under ?(engine = Indexed) tree ~root ~clamps ~total_vms ~ext
-    ~level =
-  match engine with
-  | Scan -> find_lowest_scan tree ~root ~clamps ~total_vms ~ext ~level
-  | Indexed -> find_lowest_indexed tree ~root ~clamps ~total_vms ~ext ~level
-  | Checked ->
-      let s = find_lowest_scan tree ~root ~clamps ~total_vms ~ext ~level in
-      let i = find_lowest_indexed tree ~root ~clamps ~total_vms ~ext ~level in
-      if s <> i then
-        failwith
-          (Printf.sprintf
-             "Subtree.find_lowest: engine mismatch at level %d (scan=%d \
-              indexed=%d vms=%d)"
-             level
-             (Option.value s ~default:(-1))
-             (Option.value i ~default:(-1))
-             total_vms);
-      s
-
-let find_lowest ?engine tree ~total_vms ~ext ~level =
-  find_lowest_under ?engine tree ~root:(Tree.root tree)
-    ~clamps:(infinity, infinity) ~total_vms ~ext ~level
+let find_lowest tree ~total_vms ~ext ~level =
+  find_lowest_under tree ~root:(Tree.root tree) ~clamps:(infinity, infinity)
+    ~total_vms ~ext ~level
 
 (* Nodes of a subtree in (level, id) ascending order, computed
    arithmetically: server ids are contiguous left-to-right, so the

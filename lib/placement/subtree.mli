@@ -1,20 +1,6 @@
 (** Shared subtree-search helpers used by the placement algorithms. *)
 
-type engine =
-  | Scan  (** The PR 3 single top-down availability scan. *)
-  | Indexed
-      (** Branch-and-bound descent of {!Cm_topology.Tree}'s incremental
-          availability index.  Bit-identical to [Scan] by construction:
-          every prune is admissible and the (fewest free slots, lowest
-          id) selection key is unique per node. *)
-  | Checked
-      (** Runs both engines on every query and raises [Failure] on any
-          disagreement.  For differential tests. *)
-
-val engine_name : engine -> string
-
 val find_lowest :
-  ?engine:engine ->
   Cm_topology.Tree.t ->
   total_vms:int ->
   ext:float * float ->
@@ -22,11 +8,11 @@ val find_lowest :
   int option
 (** [FindLowestSubtree] at one level: the best-fit (fewest free slots)
     node of the level with room for the whole tenant and enough
-    path-to-root bandwidth for its external (out, in) demand.  [engine]
-    defaults to [Indexed]. *)
+    path-to-root bandwidth for its external (out, in) demand; ties go to
+    the lowest id.  Answered by branch-and-bound descent of
+    {!Cm_topology.Tree}'s incremental availability index. *)
 
 val find_lowest_under :
-  ?engine:engine ->
   Cm_topology.Tree.t ->
   root:int ->
   clamps:float * float ->

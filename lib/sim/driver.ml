@@ -43,8 +43,8 @@ let cm_policy_name (p : Cm.policy) =
   | Bandwidth.Pipe_model -> base ^ "+pipe"
   | Bandwidth.Hose_model -> base ^ "+hose"
 
-let cm ?(policy = Cm.default_policy) ?engine tree =
-  let sched = Cm.create ~policy ?engine tree in
+let cm ?(policy = Cm.default_policy) tree =
+  let sched = Cm.create ~policy tree in
   instrument
     {
       sched_name = cm_policy_name policy;
@@ -52,8 +52,8 @@ let cm ?(policy = Cm.default_policy) ?engine tree =
       release = Cm.release sched;
     }
 
-let oktopus ?engine tree =
-  let sched = Oktopus.create ?engine tree in
+let oktopus tree =
+  let sched = Oktopus.create tree in
   instrument
     {
       sched_name = "OVOC";

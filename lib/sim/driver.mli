@@ -15,18 +15,11 @@ type maker = Cm_topology.Tree.t -> scheduler
     own scheduler over its own tree — schedulers carry mutable
     reservation state and must never be shared across domains. *)
 
-val cm :
-  ?policy:Cm_placement.Cm.policy ->
-  ?engine:Cm_placement.Subtree.engine ->
-  Cm_topology.Tree.t ->
-  scheduler
+val cm : ?policy:Cm_placement.Cm.policy -> Cm_topology.Tree.t -> scheduler
 (** CloudMirror (Algorithm 1).  The name reflects the policy: ["CM"],
-    ["CM+oppHA"], ["CM-coloc"], ["CM-balance"], ["CM+pipe"]...
-    [engine] picks the subtree-search implementation (decision-identical
-    by construction; default [Indexed]) — it never changes the name. *)
+    ["CM+oppHA"], ["CM-coloc"], ["CM-balance"], ["CM+pipe"]... *)
 
-val oktopus :
-  ?engine:Cm_placement.Subtree.engine -> Cm_topology.Tree.t -> scheduler
+val oktopus : Cm_topology.Tree.t -> scheduler
 (** The improved Oktopus/VOC baseline, named ["OVOC"]. *)
 
 val secondnet : Cm_topology.Tree.t -> scheduler

@@ -106,8 +106,8 @@ val equal : t -> t -> bool
     the window).  Re-folded rows accumulate the ring epochs oldest to
     newest, the exact per-cell order [Traffic_matrix.mean_csr] uses,
     so {!Window.mean} is bit-identical to a from-scratch mean over the
-    same epoch contents (the streaming inference [Checked] engine
-    asserts this every tick).
+    same epoch contents ([Stream.verify] in the inference library checks
+    this).
 
     Pushed matrices are retained by reference until they slide out of
     the window. *)

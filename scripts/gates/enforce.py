@@ -1,8 +1,6 @@
-"""Gate for the enforcement control-loop benchmark: 10k-flow
-epoch-compiled engine vs the per-period reference loop.  Gates on the
-metrics schema and on the compiled engine winning at all (speedup > 1,
-asserted loosely); wall-clock gates are left to the committed
-BENCH_pr4.json baseline."""
+"""Gate for the enforcement control-loop benchmark: the 10k-flow
+epoch-compiled loop.  Gates on the metrics schema only; wall-clock
+gates are left to the committed BENCH_pr4.json baseline."""
 
 import os
 import sys
@@ -17,12 +15,9 @@ def check(doc):
         "bench.enforce.flows",
         "bench.enforce.links",
         "bench.enforce.period_us_new",
-        "bench.enforce.period_us_reference",
-        "bench.enforce.speedup",
     ):
         assert k in g and g[k] > 0, k
     assert g["bench.enforce.flows"] >= 10000, g["bench.enforce.flows"]
-    assert g["bench.enforce.speedup"] > 1.0, g["bench.enforce.speedup"]
     assert "section.enforce" in doc["spans"]
 
 

@@ -1,8 +1,8 @@
 """Gate for the streaming TAG inference bench (bench inference-stream):
-the incremental engine's state stayed on the Checked contract against
-the from-scratch pipeline on every steady epoch (bitwise mean /
-projection / guarantee peaks, AMI parity on labels), the streamed state
-was bitwise jobs-invariant, a true Checked-engine run passed, drift
+the incremental engine's state stayed on parity with the from-scratch
+pipeline on every steady epoch (bitwise mean / projection / guarantee
+peaks, AMI parity on labels), the streamed state was bitwise
+jobs-invariant, a run with Stream.verify after every push passed, drift
 events carried a well-formed schema, and the incremental push actually
 beat a from-scratch re-inference per epoch.  Only identities and
 relative factors are asserted -- never absolute wall-clock, which CI

@@ -1,5 +1,5 @@
 """Gate for the region-scale placement sweep (bench placement-scale):
-the availability index took bit-identical decisions to the linear scan,
+the availability index matched a from-scratch rebuild after every run,
 batched placement was jobs-invariant, and throughput did not collapse
 with size.  Only identities, orderings and relative factors are
 asserted -- never absolute wall-clock, which CI machines cannot hold
@@ -19,8 +19,8 @@ def check(doc):
     # Hard invariants the bench itself also enforces (it fails the run
     # on violation); re-checked here so a silently truncated document
     # cannot pass.
-    assert g.get("bench.placement_scale.digest_match") == 1.0, (
-        "indexed engine diverged from the linear scan"
+    assert g.get("bench.placement_scale.index_verified") == 1.0, (
+        "availability index diverged from a from-scratch rebuild"
     )
     assert g.get("bench.placement_scale.jobs_invariant") == 1.0, (
         "batched placement depends on the domain count"
@@ -37,14 +37,9 @@ def check(doc):
     assert sizes and sizes[-1] == servers_max, (sizes, servers_max)
 
     for size in sizes:
-        for fmt in ("scan_dps", "indexed_dps", "batched_dps", "speedup"):
+        for fmt in ("indexed_dps", "batched_dps"):
             k = f"bench.placement_scale.{fmt}.{size}"
             assert k in g and g[k] > 0, k
-
-    # The index must never lose to the scan at the largest size (the
-    # full run shows >= 5x there; smokes run tiny workloads, so the
-    # gate asserts only the ordering).
-    assert g[f"bench.placement_scale.speedup.{servers_max}"] >= 1.0
 
     # Relative collapse guard: indexed decisions/sec at the largest
     # size must stay within a constant factor of the best size, i.e.

@@ -476,7 +476,98 @@ let test_runtime_headroom_consistent () =
     true
     (!max_x <= 750. +. 1e-6)
 
-(* {1 Epoch engine vs reference loop (differential)} *)
+(* {1 Epoch engine vs reference loop (differential)}
+
+   The reference loop: the pre-optimisation per-period control loop,
+   kept verbatim as the oracle for [Runtime]'s compiled AIMD loop —
+   lists and hash tables rebuilt every period, GP recomputed every
+   period.  Only the effective-capacity fix is mirrored (both
+   implementations must agree at headroom > 0); the per-period limiter
+   reset is unchanged, which is equivalent to persistence as long as the
+   flow set is fixed — the only setting the reference is used in. *)
+module Reference = struct
+  open Runtime
+
+  type state = {
+    cfg : config;
+    tag : Cm_tag.Tag.t;
+    enforcement : Elastic.enforcement;
+    capacities : (int, float) Hashtbl.t;
+    limits : (Elastic.active_pair, float) Hashtbl.t;
+  }
+
+  let create ?(config = default_config) ~tag ~enforcement ~links () =
+    let capacities = Hashtbl.create 16 in
+    List.iter
+      (fun (l : Maxmin.link) -> Hashtbl.replace capacities l.link_id l.capacity)
+      links;
+    { cfg = config; tag; enforcement; capacities; limits = Hashtbl.create 32 }
+
+  let capacity_of t l =
+    match Hashtbl.find_opt t.capacities l with
+    | Some c -> c
+    | None -> invalid_arg (Printf.sprintf "Runtime: unknown link %d" l)
+
+  let effective_capacity_of t l = capacity_of t l *. (1. -. t.cfg.headroom)
+
+  let step t ~flows =
+    let pairs = List.map (fun (f : flow_spec) -> f.pair) flows in
+    let demands = List.map (fun (f : flow_spec) -> f.demand) flows in
+    let guarantees =
+      Elastic.pair_guarantees ~demands t.tag t.enforcement ~pairs
+    in
+    let guarantee_of = Hashtbl.create 16 in
+    List.iter (fun (p, g) -> Hashtbl.replace guarantee_of p g) guarantees;
+    let limit f =
+      let g = Option.value ~default:0. (Hashtbl.find_opt guarantee_of f.pair) in
+      let l = Option.value ~default:g (Hashtbl.find_opt t.limits f.pair) in
+      Float.min f.demand (Float.max g l)
+    in
+    let loads = Hashtbl.create 16 in
+    List.iter
+      (fun f ->
+        let r = limit f in
+        List.iter
+          (fun l ->
+            Hashtbl.replace loads l
+              (r +. Option.value ~default:0. (Hashtbl.find_opt loads l)))
+          f.path)
+      flows;
+    let congested f =
+      List.exists
+        (fun l ->
+          Option.value ~default:0. (Hashtbl.find_opt loads l)
+          > effective_capacity_of t l +. 1e-9)
+        f.path
+    in
+    let throughput f =
+      let r = limit f in
+      List.fold_left
+        (fun acc l ->
+          let load = Option.value ~default:0. (Hashtbl.find_opt loads l) in
+          let eff = effective_capacity_of t l in
+          if load > eff && load > 0. then acc *. (eff /. load) else acc)
+        r f.path
+    in
+    let result = List.map (fun f -> (f.pair, throughput f)) flows in
+    let next_limits = Hashtbl.create 16 in
+    List.iter
+      (fun f ->
+        let g =
+          Option.value ~default:0. (Hashtbl.find_opt guarantee_of f.pair)
+        in
+        let r = limit f in
+        let r' =
+          if congested f then g +. ((r -. g) *. (1. -. t.cfg.decay))
+          else r +. (t.cfg.probe_gain *. Float.max g 1.)
+        in
+        Hashtbl.replace next_limits f.pair (Float.min f.demand r'))
+      flows;
+    Hashtbl.reset t.limits;
+    Hashtbl.iter (fun p r -> Hashtbl.replace t.limits p r) next_limits;
+    result
+end
+
 
 let diff_links = [ link 0 1000.; link 1 800. ]
 
@@ -497,12 +588,12 @@ let test_runtime_matches_reference () =
   let tag, enf = mk () in
   let rt = Runtime.create ~config ~tag ~enforcement:enf ~links:diff_links () in
   let st =
-    Runtime.Reference.create ~config ~tag ~enforcement:enf ~links:diff_links ()
+    Reference.create ~config ~tag ~enforcement:enf ~links:diff_links ()
   in
   let a = Runtime.run rt ~flows:diff_flows ~periods:37 in
   let b = ref [] in
   for _ = 1 to 37 do
-    b := Runtime.Reference.step st ~flows:diff_flows
+    b := Reference.step st ~flows:diff_flows
   done;
   List.iter2
     (fun (p, ra) ((q : Elastic.active_pair), rb) ->
@@ -693,21 +784,66 @@ let test_churn_hose_fails () =
     true
     (r.guarantee_met < 1. && r.x_min < 450.)
 
-let test_churn_engines_agree () =
-  (* The Incremental engine (and its Checked differential mode, which
-     re-verifies every epoch against the from-scratch oracle) must
-     reproduce the Cold engine's churn results exactly — churn_result
-     is all floats derived from steady-state rates, so structural
-     equality is bitwise rate equality. *)
+(* Every field of a churn result, floats in hex: equal digests mean
+   bitwise-equal steady-state rates. *)
+let churn_digest (r : Scenario.churn_result) =
+  let b = Buffer.create 256 in
   List.iter
-    (fun enf ->
-      let run engine = Scenario.churn ~engine ~seed:11 ~epochs:15 enf in
-      let inc = run Runtime.Incremental in
-      let cold = run Runtime.Cold in
-      let checked = run Runtime.Checked in
-      Alcotest.(check bool) "incremental = cold" true (inc = cold);
-      Alcotest.(check bool) "checked = cold" true (checked = cold))
-    [ Elastic.Tag_gp; Elastic.Hose_gp ]
+    (fun (p : Scenario.churn_point) ->
+      Buffer.add_string b
+        (Printf.sprintf "%d:%d:%h:%d:%b;" p.epoch p.active_senders p.steady_x
+           p.periods p.converged))
+    r.points;
+  Buffer.add_string b
+    (Printf.sprintf "%h %h %h %h %h" r.x_mean r.x_min r.guarantee_met
+       r.converged_fraction r.mean_periods);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_churn_pinned_digest () =
+  (* Captured by running this churn on the commit that still carried a
+     from-scratch per-epoch solver, where the incremental solver was
+     asserted equal to it on exactly these runs. *)
+  List.iter
+    (fun (enf, golden) ->
+      Alcotest.(check string)
+        (Elastic.enforcement_to_string enf)
+        golden
+        (churn_digest (Scenario.churn ~seed:11 ~epochs:15 enf)))
+    [
+      (Elastic.Tag_gp, "0ba86488b07dc30aceb9635407b7d4ad");
+      (Elastic.Hose_gp, "c05c6c911920b17d618145059bc90d5e");
+    ]
+
+let test_churn_verify_every_epoch () =
+  (* A seeded arrival/departure churn over shared links, one
+     [run_dynamic] epoch at a time: after each, the persistent solver's
+     rates must equal a from-scratch [Maxmin.with_guarantees]. *)
+  let rng = Random.State.make [| 12 |] in
+  let tag = Cm_tag.Examples.fig13 () in
+  let links = [ link 0 1000.; link 1 1000.; link 2 600. ] in
+  let rt = Runtime.create ~tag ~enforcement:Elastic.Tag_gp ~links () in
+  for epoch = 0 to 19 do
+    let flows =
+      { Runtime.pair = x_pair; path = [ 0; 1 ]; demand = infinity }
+      :: List.filter_map
+           (fun i ->
+             if Random.State.bool rng then
+               Some
+                 {
+                   Runtime.pair = { Elastic.src = ep 1 (i + 1); dst = ep 1 0 };
+                   path = (if i mod 2 = 0 then [ 1 ] else [ 2; 0 ]);
+                   demand =
+                     (if Random.State.bool rng then infinity
+                      else Random.State.float rng 300.);
+                 }
+             else None)
+           [ 0; 1; 2; 3; 4 ]
+    in
+    ignore (Runtime.run_dynamic ~max_periods:64 rt ~epochs:[ flows ]);
+    match Runtime.verify rt with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "epoch %d: %s" epoch msg
+  done
 
 (* {1 Incremental solver (Maxmin.Inc)} *)
 
@@ -1056,7 +1192,9 @@ let () =
           Alcotest.test_case "TAG meets guarantee" `Quick
             test_churn_tag_meets_guarantee;
           Alcotest.test_case "hose fails" `Quick test_churn_hose_fails;
-          Alcotest.test_case "engines agree" `Quick test_churn_engines_agree;
+          Alcotest.test_case "pinned digest" `Quick test_churn_pinned_digest;
+          Alcotest.test_case "verify every epoch" `Quick
+            test_churn_verify_every_epoch;
         ] );
       ( "incremental",
         [

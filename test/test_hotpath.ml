@@ -7,8 +7,8 @@
      bit for bit, at --jobs 1 and --jobs 4.
    - Differential workload: a seeded arrival/departure mix is checked
      against a from-scratch Eq. 1 oracle that reprices every node from
-     the live placements alone, and the whole run must replay
-     identically from scratch.
+     the live placements alone, the whole run must replay identically
+     from scratch, and its trace must match a pinned digest.
    - Journal rollback: nested checkpoints and aborted partial placements
      must restore the exact tree snapshot. *)
 
@@ -118,9 +118,9 @@ let locs_string (locs : Types.locations) =
 (* Seeded arrival/departure mix on a 32-server tree.  Returns the
    scheduler, tree, live placements, and a trace string encoding every
    accept (with server locations), reject (with reason), and departure. *)
-let run_workload ?engine () =
+let run_workload () =
   let tree = Tree.create diff_spec in
-  let sched = Cm.create ?engine tree in
+  let sched = Cm.create tree in
   let rng = Rng.create 42 in
   let live = ref [] in
   let next_id = ref 0 in
@@ -217,26 +217,20 @@ let test_differential_replay_identical () =
   Alcotest.(check string)
     "same decisions and server locations on a from-scratch replay" t1 t2
 
-(* ISSUE 8 differential harness: the same seeded arrival/departure mix —
-   including every rollback-and-retry inside [Cm.place] — must take
-   identical decisions under the linear scan, the availability index,
-   and the [Checked] engine (which additionally asserts scan == indexed
-   on every single [find_lowest] query as it runs). *)
-let test_engines_identical () =
-  let trace engine =
-    let sched, tree, live, trace = run_workload ~engine () in
-    List.iter (fun (_, p) -> Cm.release sched p) live;
-    Alcotest.(check bool)
-      (Cm_placement.Subtree.engine_name engine ^ ": index verifies")
-      true
-      (Tree.index_verify tree);
-    trace
-  in
-  let scan = trace Cm_placement.Subtree.Scan in
-  let indexed = trace Cm_placement.Subtree.Indexed in
-  let checked = trace Cm_placement.Subtree.Checked in
-  Alcotest.(check string) "indexed trace == scan trace" scan indexed;
-  Alcotest.(check string) "checked trace == scan trace" scan checked
+(* The seeded arrival/departure mix — including every rollback-and-retry
+   inside [Cm.place] — must take the decisions pinned below: the MD5 of
+   its trace, captured by running this workload on the commit that
+   still carried the linear-scan FindLowestSubtree, where the scan, the
+   availability index and a per-query cross-check all produced this
+   same trace. *)
+let golden_workload_trace_md5 = "41274c3fd2f3f891e61179ef06b733dc"
+
+let test_workload_trace_golden () =
+  let sched, tree, live, trace = run_workload () in
+  List.iter (fun (_, p) -> Cm.release sched p) live;
+  Alcotest.(check bool) "index verifies" true (Tree.index_verify tree);
+  Alcotest.(check string) "workload trace digest" golden_workload_trace_md5
+    (Digest.to_hex (Digest.string trace))
 
 (* {1 Journal rollback: nested checkpoints, aborted partial placements} *)
 
@@ -345,8 +339,8 @@ let () =
             test_differential_oracle;
           Alcotest.test_case "from-scratch replay identical" `Quick
             test_differential_replay_identical;
-          Alcotest.test_case "scan/indexed/checked engines identical" `Quick
-            test_engines_identical;
+          Alcotest.test_case "workload trace pinned digest" `Quick
+            test_workload_trace_golden;
         ] );
       ( "journal",
         [

@@ -438,6 +438,30 @@ let test_csv_duplicate_cell () =
         (String.length m >= 4 && String.sub m 0 4 = "line")
   | Ok _ -> Alcotest.fail "duplicate cell must error"
 
+let test_csv_huge_index () =
+  (* Dimensions come from the largest indices, and every epoch is an
+     n-row matrix: a single far-out cell must be refused, not allocated. *)
+  let expect_error what csv =
+    match Tm.of_csv csv with
+    | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s reported with line number: %s" what m)
+          true
+          (String.length m >= 4 && String.sub m 0 4 = "line")
+    | Ok _ -> Alcotest.failf "%s must error" what
+  in
+  expect_error "huge VM index" "epoch,src,dst,rate\n0,0,99999999999,1\n";
+  expect_error "huge epoch index" "epoch,src,dst,rate\n99999999999,0,1,1\n";
+  expect_error "VM index at the bound"
+    (Printf.sprintf "epoch,src,dst,rate\n0,%d,0,1\n" Tm.max_csv_vms);
+  expect_error "epoch index at the bound"
+    (Printf.sprintf "epoch,src,dst,rate\n%d,0,1,1\n" Tm.max_csv_epochs);
+  match Tm.of_csv "epoch,src,dst,rate\n3,0,16383,1\n" with
+  | Ok tm ->
+      Alcotest.(check int) "16,384 VMs accepted" 16_384 tm.Tm.n_vms;
+      Alcotest.(check int) "4 epochs" 4 (Array.length tm.Tm.epochs)
+  | Error m -> Alcotest.failf "in-bound cell rejected: %s" m
+
 let test_csv_infer_pipeline () =
   (* Imported matrices run through inference (truth unknown). *)
   let rng = Rng.create 10 in
@@ -618,6 +642,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_csv_roundtrip;
           Alcotest.test_case "errors" `Quick test_csv_errors;
           Alcotest.test_case "duplicate cell" `Quick test_csv_duplicate_cell;
+          Alcotest.test_case "huge index" `Quick test_csv_huge_index;
           Alcotest.test_case "import to inference" `Quick test_csv_infer_pipeline;
         ] );
       ( "prediction",

@@ -5,9 +5,9 @@
      availability index consistent with a from-scratch rebuild
      ([Tree.index_verify] oracle), with lazy [find_lowest] queries
      mixed in mid-transaction.
-   - engine differential: [find_lowest_under] at the tree root with
-     infinite clamps is exactly [find_lowest], under the [Checked]
-     engine (which asserts scan == indexed per query).
+   - oracle differential: [find_lowest] and [find_lowest_under] at the
+     tree root with infinite clamps both equal a brute-force argmin
+     over the level's nodes, per query.
    - [Subtree.all_under_array] against an independent recursive
      reference, for every node of the tree.
    - [Shard.place_batch]: identical results at any domain count,
@@ -64,13 +64,34 @@ let random_tag rng =
    recomputation.  Lazy queries run mid-transaction so cleaning
    interleaves with dirtying. *)
 
+(* FindLowestSubtree by its per-candidate definition: among the level's
+   nodes with room for the tenant and enough path-to-root bandwidth for
+   [ext], the fewest free slots, ties to the lowest id. *)
+let brute_find_lowest tree ~total_vms ~ext:(ext_out, ext_in) ~level =
+  let eps = Tree.bw_epsilon in
+  let best = ref None in
+  Array.iter
+    (fun id ->
+      let free = Tree.free_slots_subtree tree id in
+      let up, down = Tree.available_to_root tree id in
+      if free >= total_vms && up +. eps >= ext_out && down +. eps >= ext_in
+      then
+        match !best with
+        | Some (bf, _) when bf <= free -> ()
+        | _ -> best := Some (free, id))
+    (Tree.nodes_at_level tree level);
+  Option.map snd !best
+
 let lazy_query tree rng =
   let level = Rng.int rng (Tree.n_levels tree - 1) in
-  ignore
-    (Subtree.find_lowest ~engine:Subtree.Checked tree
-       ~total_vms:(1 + Rng.int rng 6)
-       ~ext:(Rng.range_float rng ~lo:0. ~hi:400., Rng.range_float rng ~lo:0. ~hi:400.)
-       ~level)
+  let total_vms = 1 + Rng.int rng 6 in
+  let ext =
+    (Rng.range_float rng ~lo:0. ~hi:400., Rng.range_float rng ~lo:0. ~hi:400.)
+  in
+  let expect = brute_find_lowest tree ~total_vms ~ext ~level in
+  if Subtree.find_lowest tree ~total_vms ~ext ~level <> expect then
+    QCheck.Test.fail_reportf "find_lowest differs from brute force at level %d"
+      level
 
 let prop_index_interleavings =
   QCheck.Test.make ~name:"random journal interleavings keep index exact"
@@ -133,24 +154,36 @@ let test_under_root_is_global () =
   let tree = Tree.create diff_spec in
   let sched = Cm.create tree in
   let rng = Rng.create 7 in
-  for _ = 1 to 25 do
+  for _ = 1 to 10 do
     ignore (Cm.place sched (Types.request (random_tag rng)))
   done;
   let root = Tree.root tree in
+  (* Load uplinks unevenly so that path bandwidth, not only free slots,
+     decides which candidates qualify. *)
+  let txn = Reservation.start tree in
+  for _ = 1 to 40 do
+    let node = Rng.int rng (Tree.n_nodes tree) in
+    if node <> root then
+      ignore
+        (Reservation.reserve_bw txn ~node
+           ~up:(Rng.range_float rng ~lo:0. ~hi:500.)
+           ~down:(Rng.range_float rng ~lo:0. ~hi:500.))
+  done;
+  ignore (Reservation.commit txn);
   for level = 0 to Tree.n_levels tree - 2 do
     for vms = 1 to 6 do
-      let ext = (float_of_int (vms * 60), float_of_int (vms * 40)) in
-      let global =
-        Subtree.find_lowest ~engine:Subtree.Checked tree ~total_vms:vms ~ext
-          ~level
-      in
-      let scoped =
-        Subtree.find_lowest_under ~engine:Subtree.Checked tree ~root
-          ~clamps:(infinity, infinity) ~total_vms:vms ~ext ~level
-      in
-      Alcotest.(check (option int))
-        (Printf.sprintf "level %d, %d VMs" level vms)
-        global scoped
+      for k = 0 to 4 do
+        let ext = (float_of_int (k * 100), float_of_int ((4 - k) * 100)) in
+        let expect = brute_find_lowest tree ~total_vms:vms ~ext ~level in
+        let global = Subtree.find_lowest tree ~total_vms:vms ~ext ~level in
+        let scoped =
+          Subtree.find_lowest_under tree ~root ~clamps:(infinity, infinity)
+            ~total_vms:vms ~ext ~level
+        in
+        let name = Printf.sprintf "level %d, %d VMs, ext %d" level vms k in
+        Alcotest.(check (option int)) (name ^ ": global") expect global;
+        Alcotest.(check (option int)) (name ^ ": scoped") expect scoped
+      done
     done
   done;
   Alcotest.(check bool) "index verifies after queries" true

@@ -1,6 +1,7 @@
 (* Tests for Cm_inference.Stream: the sliding CSR window, seeded
-   Louvain refinement, drift generation, the Cold/Incremental/Checked
-   streaming engine, and the e2e cost of stale guarantees. *)
+   Louvain refinement, drift generation, the streaming engine checked
+   against the batch pipeline ([Stream.verify]), and the e2e cost of
+   stale guarantees. *)
 
 module Csr = Cm_util.Csr
 module Window = Cm_util.Csr.Window
@@ -187,21 +188,27 @@ let test_drift_rate_keeps_truth_and_support () =
   (* Same sparsity pattern: rate drift only re-rolls wobbles. *)
   Alcotest.(check int) "same nnz" (Csr.nnz e1) (Csr.nnz e2)
 
-(* {1 Streaming engine: Checked parity} *)
+(* {1 Streaming engine: parity with the batch pipeline} *)
 
-(* Under [Checked] every push asserts the incremental state against the
-   from-scratch pipeline; a divergence raises [Failure] and fails the
-   test.  Returns the final stream for further assertions. *)
+(* Push, then assert the incremental state against the from-scratch
+   batch pipeline over the same window. *)
+let push_verified s e =
+  ignore (Stream.push s e);
+  match Stream.verify s with
+  | Ok () -> ()
+  | Error msg ->
+      Alcotest.failf "tick %d: %s" (Stream.ticks s - 1) msg
+
+(* Every push is verified.  Returns the final stream for further
+   assertions. *)
 let run_checked ?config ?(tier = 12) ~seed steps =
   let rng = Rng.create seed in
   let tag = pipeline_tag ~tier () in
   let d = Tm.Drift.create ~rng tag in
-  let s =
-    Stream.create ?config ~engine:Stream.Checked ~n:(Tm.Drift.n_vms d) ()
-  in
+  let s = Stream.create ?config ~n:(Tm.Drift.n_vms d) () in
   List.iter
     (fun (rate_drifters, role_drifters) ->
-      ignore (Stream.push s (Tm.Drift.step ~rate_drifters ~role_drifters d)))
+      push_verified s (Tm.Drift.step ~rate_drifters ~role_drifters d))
     steps;
   (s, d)
 
@@ -227,10 +234,8 @@ let test_checked_window_slides_past_burst () =
   let d = Tm.Drift.create ~rng tag in
   let base = Tm.Drift.step d in
   let burst = Csr.scale 2.5 base in
-  let s = Stream.create ~engine:Stream.Checked ~n:(Tm.Drift.n_vms d) () in
-  List.iter
-    (fun e -> ignore (Stream.push s e))
-    [ base; base; burst; base; base; base; base; base ];
+  let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
+  List.iter (push_verified s) [ base; base; burst; base; base; base; base; base ];
   (* Once the burst left the window, the mean is the stationary one. *)
   Alcotest.(check bool) "mean recovered after the burst" true
     (Csr.equal (Stream.mean s)
@@ -304,23 +309,22 @@ let test_stream_domain_invariance () =
       Alcotest.(check bool) "peaks bit-identical" true (p1 = p4))
     one four
 
-let test_stream_cold_matches_incremental_on_stationary () =
-  (* On a stationary stream both engines sit on the identical cold
-     labelling and peaks. *)
+let test_stream_batch_matches_incremental_on_stationary () =
+  (* On a stationary stream the incremental ticks stay on the batch
+     pipeline's labelling and peaks for the window. *)
   let rng = Rng.create 44 in
   let d = Tm.Drift.create ~rng (pipeline_tag ~tier:8 ()) in
   let e = Tm.Drift.step d in
-  let run engine =
-    let s = Stream.create ~engine ~n:(Tm.Drift.n_vms d) () in
-    for _ = 1 to 6 do
-      ignore (Stream.push s e)
-    done;
-    (Stream.labels s, snd (Stream.peaks s))
-  in
-  let cl, cp = run Stream.Cold in
-  let il, ip = run Stream.Incremental in
-  Alcotest.(check (array int)) "same labels" cl il;
-  Alcotest.(check bool) "same peaks" true (cp = ip)
+  let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
+  for _ = 1 to 6 do
+    ignore (Stream.push s e)
+  done;
+  let epochs = Stream.window_epochs s in
+  let batch = Infer.infer (Tm.of_epochs epochs) in
+  Alcotest.(check (array int)) "same labels" batch.Infer.labels
+    (Stream.labels s);
+  let _, peaks = Infer.component_peaks epochs batch.Infer.labels in
+  Alcotest.(check bool) "same peaks" true (peaks = snd (Stream.peaks s))
 
 (* {1 Drift events} *)
 
@@ -465,8 +469,8 @@ let () =
             test_stream_tag_matches_infer;
           Alcotest.test_case "domain invariance" `Quick
             test_stream_domain_invariance;
-          Alcotest.test_case "cold matches incremental" `Quick
-            test_stream_cold_matches_incremental_on_stationary;
+          Alcotest.test_case "batch matches incremental" `Quick
+            test_stream_batch_matches_incremental_on_stationary;
         ] );
       ( "drift-events",
         [
