@@ -77,13 +77,39 @@ let make_frame n =
     touched = Array.make n 0;
   }
 
+(* Links from vertex [i] into each neighbouring community: scans the
+   neighbour slice [cols.(lo) .. cols.(hi - 1)] (weights in [vals]),
+   adding into [w] and listing first-touched communities in [touched];
+   returns how many were touched.  Self-loops are skipped. *)
+let gather ~(w : float array) ~(touched : int array) ~(community : int array) i
+    (cols : int array) (vals : float array) lo hi =
+  let nt = ref 0 in
+  for p = lo to hi - 1 do
+    let j = cols.(p) in
+    if j <> i then begin
+      let c = community.(j) in
+      if w.(c) = 0. then begin
+        touched.(!nt) <- c;
+        incr nt
+      end;
+      w.(c) <- w.(c) +. vals.(p)
+    end
+  done;
+  !nt
+
+(* Modularity gain of joining community [c] for a vertex of degree [ki]
+   (already removed from its own community). *)
+let gain ~resolution ~m2 (w : float array) (sigma_tot : float array) ki c =
+  w.(c) -. (resolution *. sigma_tot.(c) *. ki /. m2)
+
 (* Order-independent move selection shared by the dense and CSR
    passes.  The best community is the exact (max gain, then lowest
    community id) over the touched neighbour communities — float
    equality, not epsilon, so the winner does not depend on scan order.
    The epsilon appears only in the final move-vs-stay guard. *)
-let local_moving fr ~resolution ~n ~m2 ~iter_neighbours =
+let local_moving fr ~resolution ~n ~m2 (adj : Csr.t) =
   let k = fr.k and community = fr.community in
+  let rp = adj.Csr.row_ptr and cidx = adj.Csr.col_idx and cv = adj.Csr.values in
   let sigma_tot = fr.sigma_tot and w = fr.w and touched = fr.touched in
   for i = 0 to n - 1 do
     community.(i) <- i;
@@ -100,28 +126,19 @@ let local_moving fr ~resolution ~n ~m2 ~iter_neighbours =
         let ci = community.(i) in
         sigma_tot.(ci) <- sigma_tot.(ci) -. k.(i);
         (* Accumulate links from i into each neighbouring community. *)
-        let nt = ref 0 in
-        iter_neighbours i (fun j v ->
-            if j <> i then begin
-              let c = community.(j) in
-              if w.(c) = 0. then begin
-                touched.(!nt) <- c;
-                incr nt
-              end;
-              w.(c) <- w.(c) +. v
-            end);
-        let gain c = w.(c) -. (resolution *. sigma_tot.(c) *. k.(i) /. m2) in
-        let stay = gain ci in
+        let nt = gather ~w ~touched ~community i cidx cv rp.(i) rp.(i + 1) in
+        let ki = k.(i) in
+        let stay = gain ~resolution ~m2 w sigma_tot ki ci in
         let best_c = ref ci and best_gain = ref stay in
-        for t = 0 to !nt - 1 do
+        for t = 0 to nt - 1 do
           let c = touched.(t) in
-          let g = gain c in
+          let g = gain ~resolution ~m2 w sigma_tot ki c in
           if g > !best_gain || (g = !best_gain && c < !best_c) then begin
             best_c := c;
             best_gain := g
           end
         done;
-        for t = 0 to !nt - 1 do
+        for t = 0 to nt - 1 do
           w.(touched.(t)) <- 0.
         done;
         let dest =
@@ -157,24 +174,24 @@ let one_level_dense fr ~resolution adj =
     fr.k.(i) <- s;
     m2 := !m2 +. s
   done;
-  local_moving fr ~resolution ~n ~m2:!m2 ~iter_neighbours:(fun i f ->
-      let row = adj.(i) in
-      for j = 0 to n - 1 do
-        if row.(j) > 0. then f j row.(j)
-      done)
+  (* The CSR form lists each row's positive cells in ascending column
+     order, the order the dense scan visits them. *)
+  local_moving fr ~resolution ~n ~m2:!m2 (Csr.of_dense adj)
 
 let one_level_csr_frame fr ~resolution (adj : Csr.t) =
   let n = adj.Csr.n in
   ensure_frame fr n;
   let m2 = ref 0. in
+  let rp = adj.Csr.row_ptr and cv = adj.Csr.values in
   for i = 0 to n - 1 do
     let s = ref 0. in
-    Csr.iter_row adj i (fun _ v -> s := !s +. v);
+    for p = rp.(i) to rp.(i + 1) - 1 do
+      s := !s +. cv.(p)
+    done;
     fr.k.(i) <- !s;
     m2 := !m2 +. !s
   done;
-  local_moving fr ~resolution ~n ~m2:!m2 ~iter_neighbours:(fun i f ->
-      Csr.iter_row adj i f)
+  local_moving fr ~resolution ~n ~m2:!m2 adj
 
 let one_level ?(resolution = 1.) adj =
   one_level_dense (make_frame (Array.length adj)) ~resolution adj
@@ -215,13 +232,16 @@ let aggregate_csr (adj : Csr.t) labels =
   in
   Csr.of_row_lists ~n:n_comm rows
 
-let modularity_graph ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours labels =
+let modularity_graph ?(resolution = 1.) ~n ~k ~m2 ~(cols : int array array)
+    ~(vals : float array array) (labels : int array) =
   if m2 = 0. then 0.
   else begin
     let intra = ref 0. in
     for i = 0 to n - 1 do
-      iter_neighbours i (fun j v ->
-          if labels.(i) = labels.(j) then intra := !intra +. v)
+      let li = labels.(i) and gc = cols.(i) and gv = vals.(i) in
+      for p = 0 to Array.length gc - 1 do
+        if labels.(gc.(p)) = li then intra := !intra +. gv.(p)
+      done
     done;
     let n_comm = 1 + Array.fold_left max 0 labels in
     let s = Array.make n_comm 0. in
@@ -244,8 +264,8 @@ let modularity_graph ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours labels =
    negative — without it a seeded pass could never split a community.
    Returns raw (unrenumbered, but deterministic) labels in [0, n) and
    the number of vertices that changed community. *)
-let refine_seeded ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours ~seed ~frontier
-    () =
+let refine_seeded ?(resolution = 1.) ~n ~k ~m2 ~(cols : int array array)
+    ~(vals : float array array) ~seed ~frontier () =
   if n = 0 then ([||], 0)
   else begin
     let community = Array.sub seed 0 n in
@@ -346,6 +366,12 @@ let refine_seeded ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours ~seed ~frontier
           m := next.(!m)
         done
       in
+      let wake_neighbours i =
+        let gc = cols.(i) in
+        for p = 0 to Array.length gc - 1 do
+          if gc.(p) <> i then enqueue gc.(p)
+        done
+      in
       (* Every accepted move strictly increases modularity, so the loop
          terminates; the budget is a backstop against pathological
          near-tie churn (callers fall back to a full re-cluster when
@@ -359,28 +385,20 @@ let refine_seeded ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours ~seed ~frontier
         in_queue.(i) <- false;
         let ci = community.(i) in
         sigma_tot.(ci) <- sigma_tot.(ci) -. k.(i);
-        let nt = ref 0 in
-        iter_neighbours i (fun j v ->
-            if j <> i then begin
-              let c = community.(j) in
-              if w.(c) = 0. then begin
-                touched.(!nt) <- c;
-                incr nt
-              end;
-              w.(c) <- w.(c) +. v
-            end);
-        let gain c = w.(c) -. (resolution *. sigma_tot.(c) *. k.(i) /. m2) in
-        let stay = gain ci in
+        let gc = cols.(i) in
+        let nt = gather ~w ~touched ~community i gc vals.(i) 0 (Array.length gc) in
+        let ki = k.(i) in
+        let stay = gain ~resolution ~m2 w sigma_tot ki ci in
         let best_c = ref ci and best_gain = ref stay in
-        for t = 0 to !nt - 1 do
+        for t = 0 to nt - 1 do
           let c = touched.(t) in
-          let g = gain c in
+          let g = gain ~resolution ~m2 w sigma_tot ki c in
           if g > !best_gain || (g = !best_gain && c < !best_c) then begin
             best_c := c;
             best_gain := g
           end
         done;
-        for t = 0 to !nt - 1 do
+        for t = 0 to nt - 1 do
           w.(touched.(t)) <- 0.
         done;
         (* A fresh singleton is always available at gain 0.; its id is
@@ -394,7 +412,7 @@ let refine_seeded ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours ~seed ~frontier
           link i c';
           sigma_tot.(c') <- sigma_tot.(c') +. k.(i);
           incr moves;
-          iter_neighbours i (fun j _ -> if j <> i then enqueue j);
+          wake_neighbours i;
           wake ci
         end
         else begin
@@ -405,7 +423,7 @@ let refine_seeded ?(resolution = 1.) ~n ~k ~m2 ~iter_neighbours ~seed ~frontier
             unlink i;
             link i dest;
             incr moves;
-            iter_neighbours i (fun j _ -> if j <> i then enqueue j);
+            wake_neighbours i;
             wake ci;
             wake dest
           end;

@@ -30,25 +30,31 @@ val modularity_graph :
   n:int ->
   k:float array ->
   m2:float ->
-  iter_neighbours:(int -> (int -> float -> unit) -> unit) ->
+  cols:int array array ->
+  vals:float array array ->
   int array ->
   float
-(** {!modularity_csr} over an abstract neighbour iterator (weighted
-    degrees [k] and their sum [m2] supplied by the caller) — the form
-    the streaming engine's mutable similarity graph can answer without
-    materializing a CSR. *)
+(** {!modularity_csr} over per-vertex adjacency rows: vertex [i]'s
+    neighbours are [cols.(i)] (ascending) with weights [vals.(i)], and
+    the weighted degrees [k] and their sum [m2] are supplied by the
+    caller — the form the streaming engine's mutable similarity graph
+    can answer without materializing a CSR.  The rows are read
+    directly, so the pass allocates only the per-community degree
+    sums. *)
 
 val refine_seeded :
   ?resolution:float ->
   n:int ->
   k:float array ->
   m2:float ->
-  iter_neighbours:(int -> (int -> float -> unit) -> unit) ->
+  cols:int array array ->
+  vals:float array array ->
   seed:int array ->
   frontier:int array ->
   unit ->
   int array * int
-(** One seeded local-moving pass over a dirty-vertex [frontier]:
+(** One seeded local-moving pass over a dirty-vertex [frontier], on the
+    graph given as {!modularity_graph}'s adjacency rows:
     vertices start in their [seed] communities (labels in [[0, n)]) and
     only queued vertices are examined; an accepted move wakes the
     mover's neighbours and every member of the two touched communities

@@ -43,11 +43,15 @@ let projection_csr (m : Csr.t) =
      (the skipped terms multiply or add a [0.], a no-op on non-negative
      accumulators). *)
   let norms = Array.make n 0. in
+  let sq_sum (a : Csr.t) i acc =
+    let acc = ref acc in
+    for p = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+      acc := !acc +. (a.Csr.values.(p) *. a.Csr.values.(p))
+    done;
+    !acc
+  in
   for i = 0 to n - 1 do
-    let na = ref 0. in
-    Csr.iter_row m i (fun _ x -> na := !na +. (x *. x));
-    Csr.iter_row mt i (fun _ x -> na := !na +. (x *. x));
-    norms.(i) <- !na
+    norms.(i) <- sq_sum mt i (sq_sum m i 0.)
   done;
   (* All dot products against VMs j > i at once, via the inverted
      index: the owners of feature dim k < n are row k of [mt], the
@@ -60,7 +64,9 @@ let projection_csr (m : Csr.t) =
   (* One flat accumulator frame reused across all rows (the Louvain
      local_moving idiom): [acc]/[touched] for the scatter, and shared
      column/value staging buffers so the only per-row allocations left
-     are the final right-sized [Array.sub]s handed to [of_upper]. *)
+     are the final right-sized [Array.sub]s handed to [of_upper].
+     [cols_buf] is free while [touched] is sorted, so it doubles as the
+     sort's merge scratch. *)
   let acc = Array.make n 0. in
   let touched = Array.make n 0 in
   let cols_buf = Array.make n 0 in
@@ -104,7 +110,7 @@ let projection_csr (m : Csr.t) =
       done
     done;
     let ni = norms.(i) in
-    Cm_util.Intsort.sort_prefix touched !nt;
+    Cm_util.Intsort.sort_prefix ~tmp:cols_buf touched !nt;
     let e = ref 0 in
     for p = 0 to !nt - 1 do
       let j = touched.(p) in

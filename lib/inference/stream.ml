@@ -51,6 +51,24 @@ type stats = {
   drift : event option;
 }
 
+(* Per-domain similarity-row scratch: the scatter accumulator and its
+   touched list, plus column/value staging buffers ([cbuf] doubles as
+   the sort's merge scratch), so a row allocates only its result. *)
+type scratch = {
+  acc : float array;  (* [0.] = untouched *)
+  touched : int array;
+  cbuf : int array;
+  vbuf : float array;
+}
+
+let make_scratch n =
+  {
+    acc = Array.make n 0.;
+    touched = Array.make n 0;
+    cbuf = Array.make n 0;
+    vbuf = Array.make n 0.;
+  }
+
 type t = {
   cfg : config;
   series : string option;  (* Cm_obs series name prefix, when sampling *)
@@ -83,12 +101,26 @@ type t = {
   mutable tick : int;  (* epochs ingested *)
   mutable events : event list;
   mutable last_full : bool;  (* last tick ran the full pipeline or fell back *)
-  (* Scratch (single-threaded paths only). *)
-  acc : float array;
-  touched : int array;
+  (* Scratch.  [scr.(0)] serves the single-threaded paths; slice [s] of
+     a parallel similarity pass uses [scr.(s)]. *)
+  mutable scr : scratch array;
   mark : bool array;
   mark2 : bool array;
-  patch : (int * float) list array;  (* pending per-partner edge patches *)
+  (* Pending structural patches (an edge appears or disappears) towards
+     clean partners, in emission order: partner, source vertex, new
+     weight ([-1.] = remove).  Reweighed edges are patched in place. *)
+  mutable pv : int array;
+  mutable pu : int array;
+  mutable px : float array;
+  mutable np : int;
+  (* Per-partner bucketing of the patches into [su]/[sx]: [plist] lists
+     the partners that received any, in first-patch order, and their
+     segments follow one another in that order; [pcount] counts, then
+     serves as each segment's fill cursor. *)
+  pcount : int array;
+  plist : int array;
+  mutable su : int array;
+  mutable sx : float array;
 }
 
 let mt_ticks = Metrics.counter "infer.stream.ticks"
@@ -130,11 +162,17 @@ let create ?(config = default_config) ?series_prefix ~n () =
     tick = 0;
     events = [];
     last_full = false;
-    acc = Array.make n 0.;
-    touched = Array.make n 0;
+    scr = [| make_scratch n |];
     mark = Array.make n false;
     mark2 = Array.make n false;
-    patch = Array.make n [];
+    pv = Array.make n 0;
+    pu = Array.make n 0;
+    px = Array.make n 0.;
+    np = 0;
+    pcount = Array.make n 0;
+    plist = Array.make n 0;
+    su = Array.make n 0;
+    sx = Array.make n 0.;
   }
 
 let n_vms t = t.n
@@ -160,12 +198,6 @@ let window_epochs t =
   Window.epochs t.win
 
 let drift_events t = List.rev t.events
-
-let iter_neighbours t i f =
-  let gc = t.g_cols.(i) and gv = t.g_vals.(i) in
-  for p = 0 to Array.length gc - 1 do
-    f gc.(p) gv.(p)
-  done
 
 (* The similarity graph as a CSR matrix, via its strict upper triangle
    — bit-identical to [Similarity.projection_csr] of the current mean
@@ -198,6 +230,28 @@ let tag t =
 (* Full (from-scratch) products: used during warm-up and past the
    dirty-fraction bound.                                               *)
 
+(* Squared feature norm of [v]: row support then column support,
+   ascending — the accumulation order of [projection_csr]. *)
+let refresh_norm t v =
+  let rv = t.row_vals.(v) and cv = t.col_vals.(v) in
+  let na = ref 0. in
+  for p = 0 to Array.length rv - 1 do
+    na := !na +. (rv.(p) *. rv.(p))
+  done;
+  for p = 0 to Array.length cv - 1 do
+    na := !na +. (cv.(p) *. cv.(p))
+  done;
+  t.norms.(v) <- !na
+
+(* Weighted degree of [v] from its adjacency row, ascending. *)
+let refresh_deg t v =
+  let gv = t.g_vals.(v) in
+  let s = ref 0. in
+  for p = 0 to Array.length gv - 1 do
+    s := !s +. gv.(p)
+  done;
+  t.deg.(v) <- !s
+
 let load_mirrors t (mean : Csr.t) =
   let mt = Csr.transpose mean in
   for i = 0 to t.n - 1 do
@@ -207,12 +261,7 @@ let load_mirrors t (mean : Csr.t) =
     let lo = mt.Csr.row_ptr.(i) and hi = mt.Csr.row_ptr.(i + 1) in
     t.col_rows.(i) <- Array.sub mt.Csr.col_idx lo (hi - lo);
     t.col_vals.(i) <- Array.sub mt.Csr.values lo (hi - lo);
-    (* Same accumulation order as projection_csr: row support then
-       column support, ascending. *)
-    let na = ref 0. in
-    Array.iter (fun x -> na := !na +. (x *. x)) t.row_vals.(i);
-    Array.iter (fun x -> na := !na +. (x *. x)) t.col_vals.(i);
-    t.norms.(i) <- !na
+    refresh_norm t i
   done
 
 let load_graph t (graph : Csr.t) =
@@ -221,10 +270,8 @@ let load_graph t (graph : Csr.t) =
     let lo = graph.Csr.row_ptr.(i) and hi = graph.Csr.row_ptr.(i + 1) in
     t.g_cols.(i) <- Array.sub graph.Csr.col_idx lo (hi - lo);
     t.g_vals.(i) <- Array.sub graph.Csr.values lo (hi - lo);
-    let s = ref 0. in
-    Array.iter (fun v -> s := !s +. v) t.g_vals.(i);
-    t.deg.(i) <- !s;
-    m2 := !m2 +. !s
+    refresh_deg t i;
+    m2 := !m2 +. t.deg.(i)
   done;
   t.m2 <- !m2
 
@@ -251,12 +298,18 @@ let ensure_agg t size =
   done;
   if Array.length t.peaks <> size then t.peaks <- Array.make size 0.
 
-let aggregate_into t agg (epoch : Csr.t) =
+let aggregate_into t (agg : float array) (epoch : Csr.t) =
   Array.fill agg 0 (Array.length agg) 0.;
   let nc = t.ncomp and labels = t.labels in
-  Csr.iter_nz epoch (fun i j v ->
-      let idx = (labels.(i) * nc) + labels.(j) in
-      agg.(idx) <- agg.(idx) +. v)
+  let rp = epoch.Csr.row_ptr and ci = epoch.Csr.col_idx in
+  let v = epoch.Csr.values in
+  for i = 0 to epoch.Csr.n - 1 do
+    let row = labels.(i) * nc in
+    for p = rp.(i) to rp.(i + 1) - 1 do
+      let idx = row + labels.(ci.(p)) in
+      agg.(idx) <- agg.(idx) +. v.(p)
+    done
+  done
 
 let refresh_peaks t =
   let nc2 = t.ncomp * t.ncomp in
@@ -293,23 +346,23 @@ let update_guarantees_partial t (epoch : Csr.t) dirty =
   let nc = t.ncomp and labels = t.labels in
   aggregate_into t t.slot_aggs.((t.tick - 1) mod t.cfg.window) epoch;
   let in_s = Array.make nc false in
-  let any = ref false in
-  Array.iter
-    (fun u ->
-      if not in_s.(labels.(u)) then begin
-        in_s.(labels.(u)) <- true;
-        any := true
-      end)
-    dirty;
-  if !any then begin
+  for d = 0 to Array.length dirty - 1 do
+    in_s.(labels.(dirty.(d))) <- true
+  done;
+  if Array.length dirty > 0 then begin
     let mark = t.mark in
     for c = 0 to nc - 1 do
-      if in_s.(c) then
-        Array.iter
-          (fun m ->
-            mark.(m) <- true;
-            Array.iter (fun i -> mark.(i) <- true) t.col_rows.(m))
-          t.members.(c)
+      if in_s.(c) then begin
+        let ms = t.members.(c) in
+        for q = 0 to Array.length ms - 1 do
+          let m = ms.(q) in
+          mark.(m) <- true;
+          let senders = t.col_rows.(m) in
+          for x = 0 to Array.length senders - 1 do
+            mark.(senders.(x)) <- true
+          done
+        done
+      end
     done;
     let len = Window.length t.win in
     let base = Window.pushes t.win - len in
@@ -322,14 +375,18 @@ let update_guarantees_partial t (epoch : Csr.t) dirty =
         done
       done;
       let ep = Window.epoch t.win i in
+      let rp = ep.Csr.row_ptr and ci = ep.Csr.col_idx and v = ep.Csr.values in
       for r = 0 to t.n - 1 do
-        if mark.(r) then
-          Csr.iter_row ep r (fun j v ->
-              let a = labels.(r) and b = labels.(j) in
-              if in_s.(a) || in_s.(b) then begin
-                let idx = (a * nc) + b in
-                agg.(idx) <- agg.(idx) +. v
-              end)
+        if mark.(r) then begin
+          let a = labels.(r) in
+          for p = rp.(r) to rp.(r + 1) - 1 do
+            let b = labels.(ci.(p)) in
+            if in_s.(a) || in_s.(b) then begin
+              let idx = (a * nc) + b in
+              agg.(idx) <- agg.(idx) +. v.(p)
+            end
+          done
+        end
       done
     done;
     Array.fill mark 0 t.n false
@@ -345,7 +402,8 @@ let update_guarantees_partial t (epoch : Csr.t) dirty =
    terms in the same order as [Similarity.projection_csr] (multiply
    operand order differs per side, but IEEE multiplication commutes
    bitwise), so edge values are exact. *)
-let sim_row t acc touched u =
+let sim_row t scr u =
+  let acc = scr.acc and touched = scr.touched in
   let nt = ref 0 in
   let rc = t.row_cols.(u) and rv = t.row_vals.(u) in
   for p = 0 to Array.length rc - 1 do
@@ -377,9 +435,9 @@ let sim_row t acc touched u =
       end
     done
   done;
-  Intsort.sort_prefix touched !nt;
+  Intsort.sort_prefix ~tmp:scr.cbuf touched !nt;
   let nu = t.norms.(u) in
-  let cols = Array.make !nt 0 and svals = Array.make !nt 0. in
+  let cols = scr.cbuf and svals = scr.vbuf in
   let e = ref 0 in
   for p = 0 to !nt - 1 do
     let j = touched.(p) in
@@ -398,41 +456,120 @@ let sim_row t acc touched u =
   done;
   (Array.sub cols 0 !e, Array.sub svals 0 !e)
 
-(* Merge a sorted patch list into partner [v]'s adjacency row.  [ops]
-   pairs are (neighbour, value) with value < 0 meaning "remove". *)
-let apply_patches t v ops =
+let grow_patches t =
+  let grow a fill =
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 t.np;
+    b
+  in
+  t.pv <- grow t.pv 0;
+  t.pu <- grow t.pu 0;
+  t.px <- grow t.px 0.
+
+(* Queue the structural patch "edge (v, u) now weighs [x]" ([x < 0.]:
+   removed) for clean partner [v].  Inlined so [x] is not boxed. *)
+let[@inline] add_patch t v u x =
+  if t.np = Array.length t.pv then grow_patches t;
+  t.pv.(t.np) <- v;
+  t.pu.(t.np) <- u;
+  t.px.(t.np) <- x;
+  t.np <- t.np + 1
+
+(* Edge (v, u) appeared with weight [x] or disappeared ([x < 0.]) as
+   row [u] was replaced: wake [v] for the seeded pass and, unless [v]'s
+   own row is being replaced wholesale, queue the symmetric patch. *)
+let[@inline] patch_edge t v u x =
+  if not t.mark.(v) then add_patch t v u x;
+  t.mark2.(v) <- true
+
+(* Edge (v, u) kept its place but now weighs [src.(q)]: wake [v] and,
+   unless [v]'s row is being replaced, overwrite the weight in place
+   (the graph is symmetric, so [u] is in [v]'s row).  Partner rows are
+   owned by the engine, so nothing else sees the write. *)
+let reweigh_edge t v u (src : float array) q =
+  if not t.mark.(v) then begin
+    let gc = t.g_cols.(v) in
+    let lo = ref 0 and hi = ref (Array.length gc - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if gc.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    assert (gc.(!lo) = u);
+    t.g_vals.(v).(!lo) <- src.(q)
+  end;
+  t.mark2.(v) <- true
+
+(* Merge partner [v]'s queued patches [t.su/t.sx.(lo .. hi - 1)]
+   (ascending source vertex) into its adjacency row, staging the result
+   in the sequential scratch. *)
+let apply_patches t v lo hi =
   let oc = t.g_cols.(v) and ov = t.g_vals.(v) in
   let olen = Array.length oc in
-  let nops = List.length ops in
-  let cols = Array.make (olen + nops) 0 in
-  let vals = Array.make (olen + nops) 0. in
+  let cols = t.scr.(0).cbuf and vals = t.scr.(0).vbuf in
   let out = ref 0 in
   let p = ref 0 in
-  let emit j x =
-    cols.(!out) <- j;
-    vals.(!out) <- x;
-    incr out
-  in
-  List.iter
-    (fun (u, x) ->
-      while !p < olen && oc.(!p) < u do
-        emit oc.(!p) ov.(!p);
-        incr p
-      done;
-      if !p < olen && oc.(!p) = u then incr p;
-      if x >= 0. then emit u x)
-    ops;
-  while !p < olen do
-    emit oc.(!p) ov.(!p);
-    incr p
+  for q = lo to hi - 1 do
+    let u = t.su.(q) and x = t.sx.(q) in
+    while !p < olen && oc.(!p) < u do
+      cols.(!out) <- oc.(!p);
+      vals.(!out) <- ov.(!p);
+      incr out;
+      incr p
+    done;
+    if !p < olen && oc.(!p) = u then incr p;
+    if x >= 0. then begin
+      cols.(!out) <- u;
+      vals.(!out) <- x;
+      incr out
+    end
   done;
-  t.g_cols.(v) <- Array.sub cols 0 !out;
-  t.g_vals.(v) <- Array.sub vals 0 !out;
-  let s = ref 0. in
-  for q = 0 to !out - 1 do
-    s := !s +. vals.(q)
+  let rest = olen - !p in
+  Array.blit oc !p cols !out rest;
+  Array.blit ov !p vals !out rest;
+  t.g_cols.(v) <- Array.sub cols 0 (!out + rest);
+  t.g_vals.(v) <- Array.sub vals 0 (!out + rest)
+
+(* Bucket the queued patches by partner (a stable counting sort, so each
+   partner's patches stay in ascending source order) and apply them. *)
+let flush_patches t =
+  let count = t.pcount and plist = t.plist in
+  let npl = ref 0 in
+  for e = 0 to t.np - 1 do
+    let v = t.pv.(e) in
+    if count.(v) = 0 then begin
+      plist.(!npl) <- v;
+      incr npl
+    end;
+    count.(v) <- count.(v) + 1
   done;
-  t.deg.(v) <- !s
+  if Array.length t.su < t.np then begin
+    t.su <- Array.make (Array.length t.pv) 0;
+    t.sx <- Array.make (Array.length t.pv) 0.
+  end;
+  let off = ref 0 in
+  for q = 0 to !npl - 1 do
+    let v = plist.(q) in
+    let c = count.(v) in
+    count.(v) <- !off;
+    off := !off + c
+  done;
+  for e = 0 to t.np - 1 do
+    let v = t.pv.(e) in
+    let q = count.(v) in
+    t.su.(q) <- t.pu.(e);
+    t.sx.(q) <- t.px.(e);
+    count.(v) <- q + 1
+  done;
+  (* Each cursor now sits at the end of its segment, which is where
+     the next partner's segment starts. *)
+  let lo = ref 0 in
+  for q = 0 to !npl - 1 do
+    let v = plist.(q) in
+    apply_patches t v !lo count.(v);
+    lo := count.(v);
+    count.(v) <- 0
+  done;
+  t.np <- 0
 
 (* ------------------------------------------------------------------ *)
 
@@ -445,11 +582,69 @@ let full_tick t =
   set_labels t labels;
   let q =
     Louvain.modularity_graph ~resolution:t.cfg.resolution ~n:t.n ~k:t.deg
-      ~m2:t.m2 ~iter_neighbours:(iter_neighbours t) labels
+      ~m2:t.m2 ~cols:t.g_cols ~vals:t.g_vals labels
   in
   t.q_ref <- q;
   rebuild_guarantees t;
   q
+
+(* Column-mirror edits for row [r]'s cell in column [j]: drop it, or set
+   it to [src.(q)] (inserting it in ascending-row position if absent).
+   The new value travels as array and index so no float is boxed per
+   call. *)
+let col_remove t r j =
+  let cc = t.col_rows.(j) and cv = t.col_vals.(j) in
+  let len = Array.length cc in
+  let idx = ref (-1) in
+  let lo = ref 0 and hi = ref (len - 1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cc.(mid) = r then begin
+      idx := mid;
+      lo := !hi + 1
+    end
+    else if cc.(mid) < r then lo := mid + 1
+    else hi := mid - 1
+  done;
+  if !idx >= 0 then begin
+    let cc' = Array.make (len - 1) 0 and cv' = Array.make (len - 1) 0. in
+    Array.blit cc 0 cc' 0 !idx;
+    Array.blit cc (!idx + 1) cc' !idx (len - 1 - !idx);
+    Array.blit cv 0 cv' 0 !idx;
+    Array.blit cv (!idx + 1) cv' !idx (len - 1 - !idx);
+    t.col_rows.(j) <- cc';
+    t.col_vals.(j) <- cv'
+  end
+
+let col_set t r j (src : float array) q =
+  let cc = t.col_rows.(j) and cv = t.col_vals.(j) in
+  let len = Array.length cc in
+  let pos = ref 0 in
+  let dup = ref false in
+  let lo = ref 0 and hi = ref (len - 1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cc.(mid) = r then begin
+      pos := mid;
+      dup := true;
+      lo := !hi + 1
+    end
+    else if cc.(mid) < r then lo := mid + 1
+    else hi := mid - 1
+  done;
+  if not !dup then pos := !lo;
+  if !dup then cv.(!pos) <- src.(q)
+  else begin
+    let cc' = Array.make (len + 1) 0 and cv' = Array.make (len + 1) 0. in
+    Array.blit cc 0 cc' 0 !pos;
+    Array.blit cv 0 cv' 0 !pos;
+    cc'.(!pos) <- r;
+    cv'.(!pos) <- src.(q);
+    Array.blit cc !pos cc' (!pos + 1) (len - !pos);
+    Array.blit cv !pos cv' (!pos + 1) (len - !pos);
+    t.col_rows.(j) <- cc';
+    t.col_vals.(j) <- cv'
+  end
 
 (* Update the mean mirrors for the window's dirty rows, collecting the
    feature-dirty vertex set (dirty rows plus the owners of changed
@@ -464,95 +659,45 @@ let patch_mirrors t dirty =
       incr n_marked
     end
   in
-  Array.iter
-    (fun r ->
-      touch r;
-      let wcols, wsums = Window.row t.win r in
-      let nvals = Array.map (fun s -> s /. k) wsums in
-      let oc = t.row_cols.(r) and ov = t.row_vals.(r) in
-      let olen = Array.length oc and nlen = Array.length wcols in
-      (* Merge-diff old and new rows; patch the column mirror for every
-         changed cell. *)
-      let p = ref 0 and q = ref 0 in
-      let col_remove j =
-        let cc = t.col_rows.(j) and cv = t.col_vals.(j) in
-        let len = Array.length cc in
-        let idx = ref (-1) in
-        let lo = ref 0 and hi = ref (len - 1) in
-        while !lo <= !hi do
-          let mid = (!lo + !hi) / 2 in
-          if cc.(mid) = r then begin
-            idx := mid;
-            lo := !hi + 1
-          end
-          else if cc.(mid) < r then lo := mid + 1
-          else hi := mid - 1
-        done;
-        if !idx >= 0 then begin
-          let cc' = Array.make (len - 1) 0 and cv' = Array.make (len - 1) 0. in
-          Array.blit cc 0 cc' 0 !idx;
-          Array.blit cc (!idx + 1) cc' !idx (len - 1 - !idx);
-          Array.blit cv 0 cv' 0 !idx;
-          Array.blit cv (!idx + 1) cv' !idx (len - 1 - !idx);
-          t.col_rows.(j) <- cc';
-          t.col_vals.(j) <- cv'
-        end
-      in
-      let col_set j x =
-        let cc = t.col_rows.(j) and cv = t.col_vals.(j) in
-        let len = Array.length cc in
-        let pos = ref 0 in
-        let dup = ref false in
-        let lo = ref 0 and hi = ref (len - 1) in
-        while !lo <= !hi do
-          let mid = (!lo + !hi) / 2 in
-          if cc.(mid) = r then begin
-            pos := mid;
-            dup := true;
-            lo := !hi + 1
-          end
-          else if cc.(mid) < r then lo := mid + 1
-          else hi := mid - 1
-        done;
-        if not !dup then pos := !lo;
-        if !dup then cv.(!pos) <- x
-        else begin
-          let cc' = Array.make (len + 1) 0 and cv' = Array.make (len + 1) 0. in
-          Array.blit cc 0 cc' 0 !pos;
-          Array.blit cv 0 cv' 0 !pos;
-          cc'.(!pos) <- r;
-          cv'.(!pos) <- x;
-          Array.blit cc !pos cc' (!pos + 1) (len - !pos);
-          Array.blit cv !pos cv' (!pos + 1) (len - !pos);
-          t.col_rows.(j) <- cc';
-          t.col_vals.(j) <- cv'
-        end
-      in
-      while !p < olen || !q < nlen do
-        if !q >= nlen || (!p < olen && oc.(!p) < wcols.(!q)) then begin
-          (* Cell disappeared. *)
+  for d = 0 to Array.length dirty - 1 do
+    let r = dirty.(d) in
+    touch r;
+    let wcols, wsums = Window.row t.win r in
+    let nlen = Array.length wcols in
+    let nvals = Array.make nlen 0. in
+    for q = 0 to nlen - 1 do
+      nvals.(q) <- wsums.(q) /. k
+    done;
+    let oc = t.row_cols.(r) and ov = t.row_vals.(r) in
+    let olen = Array.length oc in
+    (* Merge-diff old and new rows; patch the column mirror for every
+       changed cell. *)
+    let p = ref 0 and q = ref 0 in
+    while !p < olen || !q < nlen do
+      if !q >= nlen || (!p < olen && oc.(!p) < wcols.(!q)) then begin
+        (* Cell disappeared. *)
+        touch oc.(!p);
+        col_remove t r oc.(!p);
+        incr p
+      end
+      else if !p >= olen || wcols.(!q) < oc.(!p) then begin
+        (* New cell. *)
+        touch wcols.(!q);
+        col_set t r wcols.(!q) nvals !q;
+        incr q
+      end
+      else begin
+        if ov.(!p) <> nvals.(!q) then begin
           touch oc.(!p);
-          col_remove oc.(!p);
-          incr p
-        end
-        else if !p >= olen || wcols.(!q) < oc.(!p) then begin
-          (* New cell. *)
-          touch wcols.(!q);
-          col_set wcols.(!q) nvals.(!q);
-          incr q
-        end
-        else begin
-          if ov.(!p) <> nvals.(!q) then begin
-            touch oc.(!p);
-            col_set oc.(!p) nvals.(!q)
-          end;
-          incr p;
-          incr q
-        end
-      done;
-      t.row_cols.(r) <- wcols;
-      t.row_vals.(r) <- nvals)
-    dirty;
+          col_set t r oc.(!p) nvals !q
+        end;
+        incr p;
+        incr q
+      end
+    done;
+    t.row_cols.(r) <- wcols;
+    t.row_vals.(r) <- nvals
+  done;
   !n_marked
 
 let incremental_tick t ?domains () =
@@ -568,13 +713,7 @@ let incremental_tick t ?domains () =
     end
   done;
   (* Norms first: every dirty vertex's feature vector changed. *)
-  Array.iter
-    (fun v ->
-      let na = ref 0. in
-      Array.iter (fun x -> na := !na +. (x *. x)) t.row_vals.(v);
-      Array.iter (fun x -> na := !na +. (x *. x)) t.col_vals.(v);
-      t.norms.(v) <- !na)
-    dirty;
+  Array.iter (refresh_norm t) dirty;
   (* New projection rows for all dirty vertices.  Rows only read the
      (already fully updated) mirrors, so they can be computed in
      parallel slices; results are combined in ascending-vertex order,
@@ -584,23 +723,23 @@ let incremental_tick t ?domains () =
     let domains =
       max 1 (min (match domains with Some d -> d | None -> Par.default_domains ()) nd)
     in
-    if domains = 1 || nd < 128 then
-      Array.map (fun u -> sim_row t t.acc t.touched u) dirty
+    if domains = 1 || nd < 128 then Array.map (sim_row t t.scr.(0)) dirty
     else begin
+      if Array.length t.scr < domains then
+        t.scr <-
+          Array.init domains (fun s ->
+              if s < Array.length t.scr then t.scr.(s) else make_scratch t.n);
       let chunk = (nd + domains - 1) / domains in
       let slices =
-        List.init domains (fun s ->
-            (s * chunk, min nd ((s + 1) * chunk)))
+        List.init domains (fun s -> (s, s * chunk, min nd ((s + 1) * chunk)))
       in
       let parts =
         Par.map ~domains
-          (fun (lo, hi) ->
+          (fun (s, lo, hi) ->
             if hi <= lo then [||]
-            else begin
-              let acc = Array.make t.n 0. in
-              let touched = Array.make t.n 0 in
-              Array.init (hi - lo) (fun i -> sim_row t acc touched dirty.(lo + i))
-            end)
+            else
+              let scr = t.scr.(s) in
+              Array.init (hi - lo) (fun i -> sim_row t scr dirty.(lo + i)))
           slices
       in
       Array.concat parts
@@ -610,68 +749,53 @@ let incremental_tick t ?domains () =
      partners, bucketed per partner so each partner row is rebuilt at
      most once. *)
   let front = t.mark2 in
-  let n_front = ref 0 in
-  let wake v =
-    if not front.(v) then begin
-      front.(v) <- true;
-      incr n_front
-    end
-  in
-  let patched = ref [] in
-  let patch_edge v u x =
-    if not t.mark.(v) then begin
-      (* Partners being replaced wholesale need no patch. *)
-      if t.patch.(v) = [] then patched := v :: !patched;
-      t.patch.(v) <- (u, x) :: t.patch.(v)
-    end;
-    wake v
-  in
-  Array.iteri
-    (fun idx u ->
-      let ncols, nvals = new_rows.(idx) in
-      let oc = t.g_cols.(u) and ov = t.g_vals.(u) in
-      let olen = Array.length oc and nlen = Array.length ncols in
-      let p = ref 0 and q = ref 0 in
-      let changed = ref false in
-      while !p < olen || !q < nlen do
-        if !q >= nlen || (!p < olen && oc.(!p) < ncols.(!q)) then begin
+  for idx = 0 to Array.length dirty - 1 do
+    let u = dirty.(idx) in
+    let ncols, nvals = new_rows.(idx) in
+    let oc = t.g_cols.(u) and ov = t.g_vals.(u) in
+    let olen = Array.length oc and nlen = Array.length ncols in
+    let p = ref 0 and q = ref 0 in
+    let changed = ref false in
+    while !p < olen || !q < nlen do
+      if !q >= nlen || (!p < olen && oc.(!p) < ncols.(!q)) then begin
+        changed := true;
+        patch_edge t oc.(!p) u (-1.);
+        incr p
+      end
+      else if !p >= olen || ncols.(!q) < oc.(!p) then begin
+        changed := true;
+        patch_edge t ncols.(!q) u nvals.(!q);
+        incr q
+      end
+      else begin
+        if ov.(!p) <> nvals.(!q) then begin
           changed := true;
-          patch_edge oc.(!p) u (-1.);
-          incr p
-        end
-        else if !p >= olen || ncols.(!q) < oc.(!p) then begin
-          changed := true;
-          patch_edge ncols.(!q) u nvals.(!q);
-          incr q
-        end
-        else begin
-          if ov.(!p) <> nvals.(!q) then begin
-            changed := true;
-            patch_edge oc.(!p) u nvals.(!q)
-          end;
-          incr p;
-          incr q
-        end
-      done;
-      if !changed then wake u;
-      t.g_cols.(u) <- ncols;
-      t.g_vals.(u) <- nvals;
-      let s = ref 0. in
-      Array.iter (fun v -> s := !s +. v) nvals;
-      t.deg.(u) <- !s)
-    dirty;
-  List.iter
-    (fun v ->
-      let ops = List.rev t.patch.(v) in
-      t.patch.(v) <- [];
-      apply_patches t v ops)
-    !patched;
+          reweigh_edge t oc.(!p) u nvals !q
+        end;
+        incr p;
+        incr q
+      end
+    done;
+    if !changed then front.(u) <- true;
+    t.g_cols.(u) <- ncols;
+    t.g_vals.(u) <- nvals;
+    refresh_deg t u
+  done;
+  flush_patches t;
+  (* The clean vertices woken above are exactly the patched partners. *)
+  for v = 0 to t.n - 1 do
+    if front.(v) && not t.mark.(v) then refresh_deg t v
+  done;
   let m2 = ref 0. in
   for i = 0 to t.n - 1 do
     m2 := !m2 +. t.deg.(i)
   done;
   t.m2 <- !m2;
   (* Frontier (ascending) for the seeded local-moving pass. *)
+  let n_front = ref 0 in
+  for v = 0 to t.n - 1 do
+    if front.(v) then incr n_front
+  done;
   let frontier = Array.make !n_front 0 in
   let cursor = ref 0 in
   for v = 0 to t.n - 1 do
@@ -690,7 +814,7 @@ let cluster_incremental t frontier =
   else begin
     let raw, moved =
       Louvain.refine_seeded ~resolution ~n:t.n ~k:t.deg ~m2:t.m2
-        ~iter_neighbours:(iter_neighbours t) ~seed:t.labels ~frontier ()
+        ~cols:t.g_cols ~vals:t.g_vals ~seed:t.labels ~frontier ()
     in
     if moved = 0 then (0, false)
     else begin
@@ -756,6 +880,11 @@ let verify t =
     in
     let graph_ref = Similarity.projection_csr mean_ref in
     let* () = check "similarity graph" (Csr.equal (projection t) graph_ref) in
+    let deg_ref = Csr.row_sums graph_ref in
+    let* () =
+      check "weighted degrees"
+        (t.deg = deg_ref && t.m2 = Array.fold_left ( +. ) 0. deg_ref)
+    in
     let labels_ref =
       Louvain.cluster_csr ~resolution:t.cfg.resolution graph_ref
     in
@@ -814,7 +943,7 @@ let push ?domains t epoch =
           let moved, labels_changed = cluster_incremental t frontier in
           let q =
             Louvain.modularity_graph ~resolution:t.cfg.resolution ~n:t.n
-              ~k:t.deg ~m2:t.m2 ~iter_neighbours:(iter_neighbours t) t.labels
+              ~k:t.deg ~m2:t.m2 ~cols:t.g_cols ~vals:t.g_vals t.labels
           in
           let fallback = q < t.q_ref -. t.cfg.fallback_bound in
           if fallback then begin
@@ -825,7 +954,7 @@ let push ?domains t epoch =
             set_labels t labels;
             let q =
               Louvain.modularity_graph ~resolution:t.cfg.resolution ~n:t.n
-                ~k:t.deg ~m2:t.m2 ~iter_neighbours:(iter_neighbours t) t.labels
+                ~k:t.deg ~m2:t.m2 ~cols:t.g_cols ~vals:t.g_vals t.labels
             in
             t.q_ref <- q;
             if t.labels = prev_labels && not labels_changed then

@@ -107,7 +107,8 @@ val push : ?domains:int -> t -> Cm_util.Csr.t -> stats
 val verify : t -> (unit, string) result
 (** Recompute the batch pipeline over the current window and compare:
     [Ok ()] iff the windowed mean, its mirrors, the similarity graph
-    ({!Similarity.projection_csr}), component sizes and guarantee peaks
+    ({!Similarity.projection_csr}) and its weighted degrees (each row
+    summed in ascending column order), component sizes and guarantee peaks
     ({!Infer.component_peaks}) are bitwise equal, and the labels equal
     {!Louvain.cluster_csr}'s after a full or fallback tick (AMI
     [>= ami_parity] after an incremental one).  [Ok ()] before the first

@@ -266,6 +266,7 @@ module Window = struct
     rows_vals : float array array;
     acc : float array;  (* recompute scratch, [0.] = untouched *)
     touched : int array;
+    stmp : int array;  (* [Intsort] merge scratch for [touched] *)
     dbuf : int array;  (* dirty-row collection scratch *)
     mutable pushes : int;
     mutable dirty : int array;
@@ -288,6 +289,7 @@ module Window = struct
       rows_vals = Array.make (max n 1) [||];
       acc = Array.make (max n 1) 0.;
       touched = Array.make (max n 1) 0;
+      stmp = Array.make (max n 1) 0;
       dbuf = Array.make (max n 1) 0;
       pushes = 0;
       dirty = [||];
@@ -317,12 +319,14 @@ module Window = struct
       !d
     end
 
-  (* Fold epochs [lo .. hi] (chronological) of row [r] into fresh sum
-     arrays — per cell, contributions land in ascending epoch order,
-     exactly the order [Traffic_matrix.mean_csr] uses, so the windowed
-     mean read off these sums is bit-identical to a from-scratch mean
-     over the same epochs. *)
-  let recompute_row w lo hi r =
+  (* Re-fold epochs [lo .. hi] (chronological) of row [r] and store the
+     result as the row's cached sums; returns whether they changed.  Per
+     cell, contributions land in ascending epoch order, exactly the
+     order [Traffic_matrix.mean_csr] uses, so the windowed mean read off
+     these sums is bit-identical to a from-scratch mean over the same
+     epochs.  An unchanged fold keeps the cached arrays, so it
+     allocates nothing. *)
+  let refold_row w lo hi r =
     let acc = w.acc and touched = w.touched in
     let nt = ref 0 in
     for t = lo to hi do
@@ -337,14 +341,33 @@ module Window = struct
         acc.(j) <- acc.(j) +. v.(p)
       done
     done;
-    Intsort.sort_prefix touched !nt;
-    let cols = Array.sub touched 0 !nt in
-    let vals = Array.make !nt 0. in
-    for p = 0 to !nt - 1 do
-      vals.(p) <- acc.(cols.(p));
-      acc.(cols.(p)) <- 0.
+    let nt = !nt in
+    Intsort.sort_prefix ~tmp:w.stmp touched nt;
+    let oc = w.rows_cols.(r) and ov = w.rows_vals.(r) in
+    let same = ref (Array.length oc = nt) in
+    let p = ref 0 in
+    while !same && !p < nt do
+      let j = touched.(!p) in
+      if oc.(!p) <> j || ov.(!p) <> acc.(j) then same := false;
+      incr p
     done;
-    (cols, vals)
+    if !same then begin
+      for p = 0 to nt - 1 do
+        acc.(touched.(p)) <- 0.
+      done;
+      false
+    end
+    else begin
+      let cols = Array.sub touched 0 nt in
+      let vals = Array.make nt 0. in
+      for p = 0 to nt - 1 do
+        vals.(p) <- acc.(cols.(p));
+        acc.(cols.(p)) <- 0.
+      done;
+      w.rows_cols.(r) <- cols;
+      w.rows_vals.(r) <- vals;
+      true
+    end
 
   let push w e =
     if e.n <> w.wn then invalid_arg "Csr.Window.push: dimension mismatch";
@@ -371,11 +394,7 @@ module Window = struct
       in
       if candidate then begin
         w.recomputed <- w.recomputed + 1;
-        let cols, vals = recompute_row w lo t r in
-        let changed = cols <> w.rows_cols.(r) || vals <> w.rows_vals.(r) in
-        w.rows_cols.(r) <- cols;
-        w.rows_vals.(r) <- vals;
-        if changed && not warm then begin
+        if refold_row w lo t r && not warm then begin
           w.dbuf.(!nd) <- r;
           incr nd
         end

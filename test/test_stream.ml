@@ -101,11 +101,15 @@ let test_window_eviction_dirties_rows () =
 
 (* {1 Seeded Louvain refinement} *)
 
-let graph_env graph =
+(* Degrees, their sum and per-vertex adjacency rows of a CSR graph. *)
+let graph_env (graph : Csr.t) =
   let k = Csr.row_sums graph in
   let m2 = Array.fold_left ( +. ) 0. k in
-  let iter_neighbours i f = Csr.iter_row graph i f in
-  (k, m2, iter_neighbours)
+  let rp = graph.Csr.row_ptr in
+  let slice a i = Array.sub a rp.(i) (rp.(i + 1) - rp.(i)) in
+  let cols = Array.init graph.Csr.n (slice graph.Csr.col_idx) in
+  let vals = Array.init graph.Csr.n (slice graph.Csr.values) in
+  (k, m2, cols, vals)
 
 let test_refine_seeded_repairs_perturbation () =
   let rng = Rng.create 11 in
@@ -114,7 +118,7 @@ let test_refine_seeded_repairs_perturbation () =
   let graph = Similarity.projection_csr (Tm.mean_csr tm) in
   let cold = Louvain.cluster_csr graph in
   let n = Array.length cold in
-  let k, m2, iter_neighbours = graph_env graph in
+  let k, m2, cols, vals = graph_env graph in
   (* Mislabel a few vertices, then refine with just those as frontier. *)
   let seed = Array.copy cold in
   let moved_vertices = [ 0; n / 2; n - 1 ] in
@@ -122,7 +126,7 @@ let test_refine_seeded_repairs_perturbation () =
     (fun v -> seed.(v) <- (seed.(v) + 1) mod (1 + Array.fold_left max 0 cold))
     moved_vertices;
   let raw, moved =
-    Louvain.refine_seeded ~n ~k ~m2 ~iter_neighbours ~seed
+    Louvain.refine_seeded ~n ~k ~m2 ~cols ~vals ~seed
       ~frontier:(Array.of_list moved_vertices) ()
   in
   Alcotest.(check bool) "some vertices moved" true (moved > 0);
@@ -136,10 +140,10 @@ let test_refine_seeded_stable_on_optimum () =
   let graph = Similarity.projection_csr (Tm.mean_csr tm) in
   let cold = Louvain.cluster_csr graph in
   let n = Array.length cold in
-  let k, m2, iter_neighbours = graph_env graph in
+  let k, m2, cols, vals = graph_env graph in
   let frontier = Array.init n Fun.id in
   let raw, moved =
-    Louvain.refine_seeded ~n ~k ~m2 ~iter_neighbours ~seed:cold ~frontier ()
+    Louvain.refine_seeded ~n ~k ~m2 ~cols ~vals ~seed:cold ~frontier ()
   in
   Alcotest.(check int) "no moves from the optimum" 0 moved;
   Alcotest.(check (array int)) "labels untouched" cold (Louvain.renumber raw)
@@ -150,10 +154,10 @@ let test_modularity_graph_matches_csr () =
   let tm = Tm.generate ~epochs:3 ~rng tag in
   let graph = Similarity.projection_csr (Tm.mean_csr tm) in
   let labels = Louvain.cluster_csr graph in
-  let k, m2, iter_neighbours = graph_env graph in
+  let k, m2, cols, vals = graph_env graph in
   let q_csr = Louvain.modularity_csr graph labels in
   let q_graph =
-    Louvain.modularity_graph ~n:(Array.length labels) ~k ~m2 ~iter_neighbours
+    Louvain.modularity_graph ~n:(Array.length labels) ~k ~m2 ~cols ~vals
       labels
   in
   Alcotest.(check (float 1e-9)) "same modularity" q_csr q_graph
@@ -326,6 +330,59 @@ let test_stream_batch_matches_incremental_on_stationary () =
   let _, peaks = Infer.component_peaks epochs batch.Infer.labels in
   Alcotest.(check bool) "same peaks" true (peaks = snd (Stream.peaks s))
 
+(* The closed-loop benchmark's observed-tenant shape: a 1,024-VM ring of
+   16 tiers of 64, every 4th tier with a self-loop, under 2 rate
+   drifters per epoch and a role drifter every 4th epoch.  Every push
+   past warm-up is verified against the batch pipeline, and the run is
+   repeated with 1 and 2 domains: the parallel similarity pass (taken
+   above 128 dirty vertices) must not change a label or a peak bit. *)
+let test_stream_benchmark_shape () =
+  let tiers = 16 and tier = 64 in
+  let tag =
+    Tag.create ~name:"ring-1024"
+      ~components:(List.init tiers (fun i -> (Printf.sprintf "t%02d" i, tier)))
+      ~edges:
+        (List.concat
+           (List.init tiers (fun i ->
+                let chain = (i, (i + 1) mod tiers, 100., 100.) in
+                if i mod 4 = 0 then [ chain; (i, i, 25., 25.) ] else [ chain ])))
+      ()
+  in
+  let window = Stream.default_config.Stream.window and steady = 12 in
+  let run domains =
+    let d = Tm.Drift.create ~rng:(Rng.create 71) tag in
+    let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
+    let incremental = ref 0 in
+    let states =
+      List.init (window + steady) (fun e ->
+          let role_drifters = if (e + 1) mod 4 = 0 then 1 else 0 in
+          let st =
+            Stream.push ~domains s
+              (Tm.Drift.step ~rate_drifters:2 ~role_drifters d)
+          in
+          if e >= window then begin
+            (match Stream.verify s with
+            | Ok () -> ()
+            | Error msg ->
+                Alcotest.failf "%d domains, tick %d: %s" domains e msg);
+            if not st.Stream.full then incr incremental
+          end;
+          (Stream.labels s, Stream.peaks s))
+    in
+    (states, !incremental)
+  in
+  let one, inc1 = run 1 and two, inc2 = run 2 in
+  Alcotest.(check int) "every steady tick incremental (1 domain)" steady inc1;
+  Alcotest.(check int) "every steady tick incremental (2 domains)" steady inc2;
+  List.iteri
+    (fun e ((l1, (s1, p1)), (l2, (s2, p2))) ->
+      Alcotest.(check (array int)) (Printf.sprintf "tick %d labels" e) l1 l2;
+      Alcotest.(check (array int)) (Printf.sprintf "tick %d sizes" e) s1 s2;
+      Alcotest.(check bool)
+        (Printf.sprintf "tick %d peaks bit-identical" e)
+        true (p1 = p2))
+    (List.combine one two)
+
 (* {1 Drift events} *)
 
 let test_no_drift_events_when_stationary () =
@@ -471,6 +528,8 @@ let () =
             test_stream_domain_invariance;
           Alcotest.test_case "batch matches incremental" `Quick
             test_stream_batch_matches_incremental_on_stationary;
+          Alcotest.test_case "benchmark shape, 1 and 2 domains" `Quick
+            test_stream_benchmark_shape;
         ] );
       ( "drift-events",
         [

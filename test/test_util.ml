@@ -1,5 +1,6 @@
 (* Tests for Cm_util: deterministic RNG, statistics, priority queue,
-   table rendering, and the domain-parallel execution engine. *)
+   table rendering, the domain-parallel execution engine, CSR matrices
+   and the int prefix sort. *)
 
 module Rng = Cm_util.Rng
 module Stats = Cm_util.Stats
@@ -556,6 +557,119 @@ let prop_csr_dense_roundtrip =
       in
       Csr.to_dense (Csr.of_dense m) = m)
 
+(* {1 Intsort} *)
+
+module Intsort = Cm_util.Intsort
+
+(* Prefix shapes the callers produce (a few ascending runs) and the
+   adversarial ones: uniform random, presorted, [k] concatenated
+   ascending runs, reversed, and heavy duplication. *)
+type shape = Random | Presorted | Runs of int | Reversed | Duplicates
+
+let shape_name = function
+  | Random -> "random"
+  | Presorted -> "presorted"
+  | Runs k -> Printf.sprintf "%d-run" k
+  | Reversed -> "reversed"
+  | Duplicates -> "duplicates"
+
+let prefix_of_shape rng shape len =
+  match shape with
+  | Random -> Array.init len (fun _ -> Rng.int rng 100_000)
+  | Presorted -> Array.init len (fun i -> (3 * i) + Rng.int rng 3)
+  | Runs k ->
+      let a = Array.init len (fun _ -> Rng.int rng 2_000) in
+      let k = max 1 k in
+      let chunk = max 1 ((len + k - 1) / k) in
+      let lo = ref 0 in
+      while !lo < len do
+        let hi = min len (!lo + chunk) in
+        let run = Array.sub a !lo (hi - !lo) in
+        Array.sort compare run;
+        Array.blit run 0 a !lo (hi - !lo);
+        lo := hi
+      done;
+      a
+  | Reversed -> Array.init len (fun i -> len - i)
+  | Duplicates -> Array.init len (fun _ -> Rng.int rng 4)
+
+let shape_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Random;
+        return Presorted;
+        map (fun k -> Runs k) (int_range 2 12);
+        return Reversed;
+        return Duplicates;
+      ])
+
+let prop_intsort_matches_array_sort =
+  QCheck.Test.make ~name:"sort_prefix = Array.sort, tail untouched"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (shape, len, tail, seed) ->
+         Printf.sprintf "%s len %d tail %d seed %d" (shape_name shape) len
+           tail seed)
+       QCheck.Gen.(
+         quad shape_gen (int_range 0 600) (int_range 0 8) (int_bound 10_000)))
+    (fun (shape, len, tail, seed) ->
+      let rng = Rng.create seed in
+      let prefix = prefix_of_shape rng shape len in
+      (* Tail cells are below every prefix value, so a sort that strays
+         past [len] would pull them in. *)
+      let a = Array.append prefix (Array.init tail (fun i -> -1 - i)) in
+      let expected = Array.copy prefix in
+      Array.sort compare expected;
+      Intsort.sort_prefix ~tmp:(Array.make len 0) a len;
+      Array.sub a 0 len = expected
+      && Array.sub a len tail = Array.init tail (fun i -> -1 - i))
+
+let test_intsort_bad_length () =
+  let a = Array.make 5 0 in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  raises "negative length" (fun () ->
+      Intsort.sort_prefix ~tmp:(Array.make 5 0) a (-1));
+  raises "length past the array" (fun () ->
+      Intsort.sort_prefix ~tmp:(Array.make 6 0) a 6);
+  raises "tmp shorter than length" (fun () ->
+      Intsort.sort_prefix ~tmp:(Array.make 4 0) a 5)
+
+(* Words [f ()] allocates in the minor heap and directly in the major
+   heap (arrays past the minor-heap size limit skip the minor heap, so
+   a minor-words check alone would miss a scratch-sized copy), net of
+   what the probe itself costs. *)
+let words_allocated f =
+  let probe f =
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    (minor1 -. minor0, major1 -. promoted1 -. (major0 -. promoted0))
+  in
+  let base_minor, base_major = probe ignore in
+  let minor, major = probe f in
+  (minor -. base_minor, major -. base_major)
+
+let test_intsort_allocates_nothing () =
+  (* Allocation counts are exact, so "no allocation" is a hard check. *)
+  let rng = Rng.create 5 in
+  let tmp = Array.make 600 0 in
+  List.iter
+    (fun shape ->
+      let a = prefix_of_shape rng shape 600 in
+      let minor, major =
+        words_allocated (fun () -> Intsort.sort_prefix ~tmp a 600)
+      in
+      Alcotest.(check (float 0.)) (shape_name shape ^ ": minor words") 0. minor;
+      Alcotest.(check (float 0.)) (shape_name shape ^ ": major words") 0. major)
+    [ Random; Presorted; Runs 2; Runs 7; Reversed; Duplicates ]
+
 let () =
   Alcotest.run "cm_util"
     [
@@ -652,5 +766,12 @@ let () =
           Alcotest.test_case "scale" `Quick test_csr_scale;
           Alcotest.test_case "of_upper" `Quick test_csr_of_upper;
           QCheck_alcotest.to_alcotest prop_csr_dense_roundtrip;
+        ] );
+      ( "intsort",
+        [
+          QCheck_alcotest.to_alcotest prop_intsort_matches_array_sort;
+          Alcotest.test_case "bad length" `Quick test_intsort_bad_length;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_intsort_allocates_nothing;
         ] );
     ]
