@@ -1,15 +1,36 @@
-let counts_of labels =
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun l ->
-      Hashtbl.replace tbl l (1 + Option.value ~default:0 (Hashtbl.find_opt tbl l)))
-    labels;
-  (* Sorted by label id, not Hashtbl order: these counts feed the
-     [expected_mi] float accumulation, which must not depend on hash
-     layout. *)
-  Hashtbl.fold (fun l n acc -> (l, n) :: acc) tbl []
-  |> List.sort compare
-  |> List.map snd |> Array.of_list
+module Intsort = Cm_util.Intsort
+
+(* Dense ranks of a labelling: [rank.(i)] is the position of label
+   [labels.(i)] among the distinct labels in ascending order, and
+   [counts.(r)] the size of rank [r].  Flat arrays throughout, so every
+   float sum below runs in label order, never in hash-table order. *)
+let ranks labels =
+  let n = Array.length labels in
+  let distinct = Array.copy labels in
+  Intsort.sort_prefix ~tmp:(Array.make n 0) distinct n;
+  let nd = ref 0 in
+  for p = 0 to n - 1 do
+    if p = 0 || distinct.(p) <> distinct.(p - 1) then begin
+      distinct.(!nd) <- distinct.(p);
+      incr nd
+    end
+  done;
+  let counts = Array.make !nd 0 in
+  let rank =
+    Array.map
+      (fun l ->
+        let lo = ref 0 and hi = ref (!nd - 1) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if distinct.(mid) < l then lo := mid + 1 else hi := mid
+        done;
+        counts.(!lo) <- counts.(!lo) + 1;
+        !lo)
+      labels
+  in
+  (rank, counts)
+
+let counts_of labels = snd (ranks labels)
 
 let entropy labels =
   let n = Array.length labels in
@@ -24,35 +45,33 @@ let entropy labels =
         acc -. (p *. log p))
     0. counts
 
-let contingency a b =
+let mutual_information a b =
   if Array.length a <> Array.length b then
     invalid_arg "Ami: labelling length mismatch";
   if Array.length a = 0 then invalid_arg "Ami: empty labelling";
-  let tbl = Hashtbl.create 32 in
-  Array.iteri
-    (fun i la ->
-      let key = (la, b.(i)) in
-      Hashtbl.replace tbl key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-    a;
-  tbl
-
-let mutual_information a b =
-  let n = float_of_int (Array.length a) in
-  let joint = contingency a b in
-  let row = Hashtbl.create 16 and col = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (i, j) c ->
-      Hashtbl.replace row i (c + Option.value ~default:0 (Hashtbl.find_opt row i));
-      Hashtbl.replace col j (c + Option.value ~default:0 (Hashtbl.find_opt col j)))
-    joint;
-  Hashtbl.fold
-    (fun (i, j) c acc ->
-      let pij = float_of_int c /. n in
-      let pi = float_of_int (Hashtbl.find row i) /. n in
-      let pj = float_of_int (Hashtbl.find col j) /. n in
-      acc +. (pij *. log (pij /. (pi *. pj))))
-    joint 0.
+  let len = Array.length a in
+  let n = float_of_int len in
+  let ra, ca = ranks a and rb, cb = ranks b in
+  let nb = Array.length cb in
+  (* Contingency cells as sorted (a, b) rank keys: each run of equal
+     keys is one nonzero cell, visited in ascending (a, b) order. *)
+  let keys = Array.init len (fun i -> (ra.(i) * nb) + rb.(i)) in
+  Intsort.sort_prefix ~tmp:(Array.make len 0) keys len;
+  let acc = ref 0. in
+  let p = ref 0 in
+  while !p < len do
+    let key = keys.(!p) in
+    let q = ref (!p + 1) in
+    while !q < len && keys.(!q) = key do
+      incr q
+    done;
+    let pij = float_of_int (!q - !p) /. n in
+    let pi = float_of_int ca.(key / nb) /. n in
+    let pj = float_of_int cb.(key mod nb) /. n in
+    acc := !acc +. (pij *. log (pij /. (pi *. pj)));
+    p := !q
+  done;
+  !acc
 
 (* Exact E[MI] under the hypergeometric model (Vinh et al., Eq. 24). *)
 let expected_mi a b =

@@ -7,7 +7,9 @@ val entropy : int array -> float
 (** Shannon entropy (nats) of a labelling. *)
 
 val mutual_information : int array -> int array -> float
-(** MI (nats) of two labellings of the same items.
+(** MI (nats) of two labellings of the same items, summed over the
+    nonzero contingency cells in ascending [(a, b)] label order, so its
+    bits never depend on hash-table layout.
     @raise Invalid_argument on length mismatch or empty input. *)
 
 val expected_mi : int array -> int array -> float

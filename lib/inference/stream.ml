@@ -82,6 +82,15 @@ type t = {
   col_rows : int array array;
   col_vals : float array array;
   norms : float array;  (* squared feature norms, as projection_csr's *)
+  (* Row-part cache: per vertex, the partners sharing one of its row
+     dims (ascending) with the positive partial dot over the row dims
+     alone — the prefix [sim_row] accumulates before any column dim.
+     Symmetric, and valid from the first incremental tick after a full
+     one (which rebuilds it) until the next full one. *)
+  rp_cols : int array array;
+  rp_vals : float array array;
+  mutable rp_valid : bool;
+  row_dirty : bool array;  (* rows being refreshed this tick *)
   (* Similarity graph as mutable per-vertex sorted adjacency. *)
   g_cols : int array array;
   g_vals : float array array;
@@ -146,6 +155,10 @@ let create ?(config = default_config) ?series_prefix ~n () =
     col_rows = Array.make n [||];
     col_vals = Array.make n [||];
     norms = Array.make n 0.;
+    rp_cols = Array.make n [||];
+    rp_vals = Array.make n [||];
+    rp_valid = false;
+    row_dirty = Array.make n false;
     g_cols = Array.make n [||];
     g_vals = Array.make n [||];
     deg = Array.make n 0.;
@@ -199,6 +212,15 @@ let window_epochs t =
 
 let drift_events t = List.rev t.events
 
+(* First index of the ascending [a] whose entry is > [i]. *)
+let past (a : int array) i =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) <= i then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* The similarity graph as a CSR matrix, via its strict upper triangle
    — bit-identical to [Similarity.projection_csr] of the current mean
    (asserted by [verify]). *)
@@ -208,13 +230,8 @@ let projection t =
     Array.init t.n (fun i ->
         let gc = t.g_cols.(i) and gv = t.g_vals.(i) in
         let len = Array.length gc in
-        (* First entry with column > i (row is sorted ascending). *)
-        let lo = ref 0 and hi = ref len in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if gc.(mid) <= i then lo := mid + 1 else hi := mid
-        done;
-        (Array.sub gc !lo (len - !lo), Array.sub gv !lo (len - !lo)))
+        let lo = past gc i in
+        (Array.sub gc lo (len - lo), Array.sub gv lo (len - lo)))
   in
   Csr.of_upper ~n:t.n upper
 
@@ -396,20 +413,51 @@ let update_guarantees_partial t (epoch : Csr.t) dirty =
 (* ------------------------------------------------------------------ *)
 (* Delta similarity.                                                   *)
 
-(* Recompute VM [u]'s full projection row against the current mean
-   mirrors via the inverted index, walking [u]'s support in ascending
-   feature-dim order — for any pair this accumulates the same common
-   terms in the same order as [Similarity.projection_csr] (multiply
-   operand order differs per side, but IEEE multiplication commutes
-   bitwise), so edge values are exact. *)
-let sim_row t scr u =
+(* Map [f scr] over [ids] in parallel slices, slice [s] on scratch
+   [t.scr.(s)].  The rows only read state no slice writes, and results
+   come back in [ids] order, so the output does not depend on the
+   domain count. *)
+let par_rows t ?domains f ids =
+  let nd = Array.length ids in
+  let domains =
+    max 1 (min (match domains with Some d -> d | None -> Par.default_domains ()) nd)
+  in
+  if domains = 1 || nd < 128 then Array.map (f t.scr.(0)) ids
+  else begin
+    if Array.length t.scr < domains then
+      t.scr <-
+        Array.init domains (fun s ->
+            if s < Array.length t.scr then t.scr.(s) else make_scratch t.n);
+    let chunk = (nd + domains - 1) / domains in
+    let slices =
+      List.init domains (fun s -> (s, s * chunk, min nd ((s + 1) * chunk)))
+    in
+    let parts =
+      Par.map ~domains
+        (fun (s, lo, hi) ->
+          if hi <= lo then [||]
+          else
+            let scr = t.scr.(s) in
+            Array.init (hi - lo) (fun i -> f scr ids.(lo + i)))
+        slices
+    in
+    Array.concat parts
+  end
+
+(* [u]'s row part against the current mean mirrors: scatter its row
+   dims ascending over their owners (only owners [j > u] when [above]),
+   then stage the positive partial dots, ascending partner, in
+   [scr.cbuf]/[scr.vbuf].  Returns the staged count.  The partial dot
+   of a pair is the same bits from either side: both walk the common
+   row dims in ascending order and IEEE multiplication commutes. *)
+let stage_row_part t scr u ~above =
   let acc = scr.acc and touched = scr.touched in
   let nt = ref 0 in
   let rc = t.row_cols.(u) and rv = t.row_vals.(u) in
   for p = 0 to Array.length rc - 1 do
     let k = rc.(p) and f = rv.(p) in
     let oc = t.col_rows.(k) and ov = t.col_vals.(k) in
-    for q = 0 to Array.length oc - 1 do
+    for q = (if above then past oc u else 0) to Array.length oc - 1 do
       let j = oc.(q) in
       if j <> u then begin
         if acc.(j) = 0. then begin
@@ -419,6 +467,62 @@ let sim_row t scr u =
         acc.(j) <- acc.(j) +. (f *. ov.(q))
       end
     done
+  done;
+  Intsort.sort_prefix ~tmp:scr.cbuf touched !nt;
+  let cols = scr.cbuf and vals = scr.vbuf in
+  let e = ref 0 in
+  for p = 0 to !nt - 1 do
+    let j = touched.(p) in
+    let x = acc.(j) in
+    acc.(j) <- 0.;
+    if x > 0. then begin
+      cols.(!e) <- j;
+      vals.(!e) <- x;
+      incr e
+    end
+  done;
+  !e
+
+(* [u]'s upper row part (partners [j > u]), for the rebuild. *)
+let upper_row_part t scr u =
+  let e = stage_row_part t scr u ~above:true in
+  (Array.sub scr.cbuf 0 e, Array.sub scr.vbuf 0 e)
+
+(* [u]'s fresh row part.  When the partner set is unchanged the values
+   overwrite [u]'s cached array in place and the cached arrays come back
+   (physically); otherwise new arrays do.  Writes only [u]'s own cache
+   row, so slices may run it in parallel. *)
+let fresh_row_part t scr u =
+  let e = stage_row_part t scr u ~above:false in
+  let oc = t.rp_cols.(u) in
+  let same = ref (Array.length oc = e) in
+  let p = ref 0 in
+  while !same && !p < e do
+    if oc.(!p) <> scr.cbuf.(!p) then same := false;
+    incr p
+  done;
+  if !same then begin
+    Array.blit scr.vbuf 0 t.rp_vals.(u) 0 e;
+    (oc, t.rp_vals.(u))
+  end
+  else (Array.sub scr.cbuf 0 e, Array.sub scr.vbuf 0 e)
+
+(* Recompute VM [u]'s full projection row against the current mean
+   mirrors via the inverted index, in [projection_csr]'s accumulation
+   order: the row dims first, whose partial dots the row-part cache
+   already holds (so the accumulator starts from them), then the column
+   dims ascending.  For any pair this sums the same common terms in the
+   same order as [Similarity.projection_csr] (multiply operand order
+   differs per side, but IEEE multiplication commutes bitwise), so edge
+   values are exact. *)
+let sim_row t scr u =
+  let acc = scr.acc and touched = scr.touched in
+  let pc = t.rp_cols.(u) and pv = t.rp_vals.(u) in
+  let nt = ref (Array.length pc) in
+  for p = 0 to !nt - 1 do
+    let j = pc.(p) in
+    touched.(p) <- j;
+    acc.(j) <- pv.(p)
   done;
   let cc = t.col_rows.(u) and cv = t.col_vals.(u) in
   for p = 0 to Array.length cc - 1 do
@@ -576,6 +680,7 @@ let flush_patches t =
 let full_tick t =
   let mean = Window.mean t.win in
   load_mirrors t mean;
+  t.rp_valid <- false;
   let graph = Similarity.projection_csr mean in
   load_graph t graph;
   let labels = Louvain.cluster_csr ~resolution:t.cfg.resolution graph in
@@ -588,36 +693,37 @@ let full_tick t =
   rebuild_guarantees t;
   q
 
-(* Column-mirror edits for row [r]'s cell in column [j]: drop it, or set
-   it to [src.(q)] (inserting it in ascending-row position if absent).
-   The new value travels as array and index so no float is boxed per
-   call. *)
-let col_remove t r j =
-  let cc = t.col_rows.(j) and cv = t.col_vals.(j) in
+(* Sparse-row edits on a mirror ([idx]/[vals] per row, ascending
+   indices): drop row [j]'s cell [r], or set it to [src.(q)] (inserting
+   it in ascending position if absent).  The new value travels as array
+   and index so no float is boxed per call. *)
+let cell_remove (idx : int array array) (vals : float array array) j r =
+  let cc = idx.(j) and cv = vals.(j) in
   let len = Array.length cc in
-  let idx = ref (-1) in
+  let at = ref (-1) in
   let lo = ref 0 and hi = ref (len - 1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     if cc.(mid) = r then begin
-      idx := mid;
+      at := mid;
       lo := !hi + 1
     end
     else if cc.(mid) < r then lo := mid + 1
     else hi := mid - 1
   done;
-  if !idx >= 0 then begin
+  if !at >= 0 then begin
     let cc' = Array.make (len - 1) 0 and cv' = Array.make (len - 1) 0. in
-    Array.blit cc 0 cc' 0 !idx;
-    Array.blit cc (!idx + 1) cc' !idx (len - 1 - !idx);
-    Array.blit cv 0 cv' 0 !idx;
-    Array.blit cv (!idx + 1) cv' !idx (len - 1 - !idx);
-    t.col_rows.(j) <- cc';
-    t.col_vals.(j) <- cv'
+    Array.blit cc 0 cc' 0 !at;
+    Array.blit cc (!at + 1) cc' !at (len - 1 - !at);
+    Array.blit cv 0 cv' 0 !at;
+    Array.blit cv (!at + 1) cv' !at (len - 1 - !at);
+    idx.(j) <- cc';
+    vals.(j) <- cv'
   end
 
-let col_set t r j (src : float array) q =
-  let cc = t.col_rows.(j) and cv = t.col_vals.(j) in
+let cell_set (idx : int array array) (vals : float array array) j r
+    (src : float array) q =
+  let cc = idx.(j) and cv = vals.(j) in
   let len = Array.length cc in
   let pos = ref 0 in
   let dup = ref false in
@@ -642,8 +748,8 @@ let col_set t r j (src : float array) q =
     cv'.(!pos) <- src.(q);
     Array.blit cc !pos cc' (!pos + 1) (len - !pos);
     Array.blit cv !pos cv' (!pos + 1) (len - !pos);
-    t.col_rows.(j) <- cc';
-    t.col_vals.(j) <- cv'
+    idx.(j) <- cc';
+    vals.(j) <- cv'
   end
 
 (* Update the mean mirrors for the window's dirty rows, collecting the
@@ -677,19 +783,19 @@ let patch_mirrors t dirty =
       if !q >= nlen || (!p < olen && oc.(!p) < wcols.(!q)) then begin
         (* Cell disappeared. *)
         touch oc.(!p);
-        col_remove t r oc.(!p);
+        cell_remove t.col_rows t.col_vals oc.(!p) r;
         incr p
       end
       else if !p >= olen || wcols.(!q) < oc.(!p) then begin
         (* New cell. *)
         touch wcols.(!q);
-        col_set t r wcols.(!q) nvals !q;
+        cell_set t.col_rows t.col_vals wcols.(!q) r nvals !q;
         incr q
       end
       else begin
         if ov.(!p) <> nvals.(!q) then begin
           touch oc.(!p);
-          col_set t r oc.(!p) nvals !q
+          cell_set t.col_rows t.col_vals oc.(!p) r nvals !q
         end;
         incr p;
         incr q
@@ -700,9 +806,66 @@ let patch_mirrors t dirty =
   done;
   !n_marked
 
+(* Rebuild the row-part cache from scratch: each vertex scatters only
+   its partners above it, and [Csr.of_upper] mirrors them below. *)
+let rebuild_row_parts t ?domains () =
+  let upper =
+    par_rows t ?domains (upper_row_part t) (Array.init t.n Fun.id)
+  in
+  let g = Csr.of_upper ~n:t.n upper in
+  for i = 0 to t.n - 1 do
+    let lo = g.Csr.row_ptr.(i) and hi = g.Csr.row_ptr.(i + 1) in
+    t.rp_cols.(i) <- Array.sub g.Csr.col_idx lo (hi - lo);
+    t.rp_vals.(i) <- Array.sub g.Csr.values lo (hi - lo)
+  done;
+  t.rp_valid <- true
+
+(* Install row [r]'s fresh row part [(nc, nv)] and patch its entry in
+   every partner whose own row is clean (dirty rows were recomputed
+   whole): overwrite or insert it where [r] is still a partner, remove
+   it where [r] no longer is.  [nc] may be the cached array itself
+   (support unchanged); the merge then only overwrites. *)
+let patch_row_part t r (nc, nv) =
+  let oc = t.rp_cols.(r) in
+  let olen = Array.length oc and nlen = Array.length nc in
+  let p = ref 0 and q = ref 0 in
+  while !p < olen || !q < nlen do
+    if !q >= nlen || (!p < olen && oc.(!p) < nc.(!q)) then begin
+      if not t.row_dirty.(oc.(!p)) then
+        cell_remove t.rp_cols t.rp_vals oc.(!p) r;
+      incr p
+    end
+    else begin
+      if not t.row_dirty.(nc.(!q)) then
+        cell_set t.rp_cols t.rp_vals nc.(!q) r nv !q;
+      if !p < olen && oc.(!p) = nc.(!q) then incr p;
+      incr q
+    end
+  done;
+  t.rp_cols.(r) <- nc;
+  t.rp_vals.(r) <- nv
+
+(* Bring the row-part cache up to date with the patched mirrors: only
+   pairs involving a row in [rows] changed. *)
+let refresh_row_parts t ?domains rows =
+  if not t.rp_valid then rebuild_row_parts t ?domains ()
+  else begin
+    for d = 0 to Array.length rows - 1 do
+      t.row_dirty.(rows.(d)) <- true
+    done;
+    let fresh = par_rows t ?domains (fresh_row_part t) rows in
+    for d = 0 to Array.length rows - 1 do
+      patch_row_part t rows.(d) fresh.(d)
+    done;
+    for d = 0 to Array.length rows - 1 do
+      t.row_dirty.(rows.(d)) <- false
+    done
+  end
+
 let incremental_tick t ?domains () =
   let dirty_rows = Window.last_dirty t.win in
   let n_dirty_vertices = patch_mirrors t dirty_rows in
+  refresh_row_parts t ?domains dirty_rows;
   (* Feature-dirty vertices, ascending. *)
   let dirty = Array.make n_dirty_vertices 0 in
   let cursor = ref 0 in
@@ -714,37 +877,8 @@ let incremental_tick t ?domains () =
   done;
   (* Norms first: every dirty vertex's feature vector changed. *)
   Array.iter (refresh_norm t) dirty;
-  (* New projection rows for all dirty vertices.  Rows only read the
-     (already fully updated) mirrors, so they can be computed in
-     parallel slices; results are combined in ascending-vertex order,
-     making the output independent of the domain count. *)
-  let new_rows =
-    let nd = Array.length dirty in
-    let domains =
-      max 1 (min (match domains with Some d -> d | None -> Par.default_domains ()) nd)
-    in
-    if domains = 1 || nd < 128 then Array.map (sim_row t t.scr.(0)) dirty
-    else begin
-      if Array.length t.scr < domains then
-        t.scr <-
-          Array.init domains (fun s ->
-              if s < Array.length t.scr then t.scr.(s) else make_scratch t.n);
-      let chunk = (nd + domains - 1) / domains in
-      let slices =
-        List.init domains (fun s -> (s, s * chunk, min nd ((s + 1) * chunk)))
-      in
-      let parts =
-        Par.map ~domains
-          (fun (s, lo, hi) ->
-            if hi <= lo then [||]
-            else
-              let scr = t.scr.(s) in
-              Array.init (hi - lo) (fun i -> sim_row t scr dirty.(lo + i)))
-          slices
-      in
-      Array.concat parts
-    end
-  in
+  (* New projection rows for all dirty vertices. *)
+  let new_rows = par_rows t ?domains (sim_row t) dirty in
   (* Replace dirty rows and emit symmetric patches towards clean
      partners, bucketed per partner so each partner row is rebuilt at
      most once. *)
@@ -855,8 +989,43 @@ let cluster_incremental t frontier =
 
 (* ------------------------------------------------------------------ *)
 
+(* The row-part cache [verify] expects: per VM, a fresh scatter of its
+   row dims over the batch mean, keeping the positive partial dots. *)
+let row_parts_ref (mean : Csr.t) =
+  let n = mean.Csr.n in
+  let mt = Csr.transpose mean in
+  let acc = Array.make n 0. and seen = Array.make n false in
+  Csr.of_sorted_rows ~n
+    (Array.init n (fun i ->
+         let partners = ref [] in
+         for p = mean.Csr.row_ptr.(i) to mean.Csr.row_ptr.(i + 1) - 1 do
+           let k = mean.Csr.col_idx.(p) and f = mean.Csr.values.(p) in
+           for q = mt.Csr.row_ptr.(k) to mt.Csr.row_ptr.(k + 1) - 1 do
+             let j = mt.Csr.col_idx.(q) in
+             if j <> i then begin
+               if not seen.(j) then begin
+                 seen.(j) <- true;
+                 partners := j :: !partners
+               end;
+               acc.(j) <- acc.(j) +. (f *. mt.Csr.values.(q))
+             end
+           done
+         done;
+         let kept =
+           List.filter (fun j -> acc.(j) > 0.) (List.sort compare !partners)
+         in
+         let cols = Array.of_list kept in
+         let vals = Array.map (fun j -> acc.(j)) cols in
+         List.iter
+           (fun j ->
+             acc.(j) <- 0.;
+             seen.(j) <- false)
+           !partners;
+         (cols, vals)))
+
 (* The batch pipeline over the same window is the oracle: bitwise for
-   the mean, its mirrors, the similarity graph and the guarantee peaks;
+   the mean, its mirrors, the row-part cache (when valid), the
+   similarity graph and the guarantee peaks;
    exact labels after a full (or fallback) tick, AMI >= [ami_parity]
    otherwise — seeded refinement may settle in a different optimum. *)
 let verify t =
@@ -877,6 +1046,14 @@ let verify t =
            (Csr.of_sorted_rows ~n:t.n
               (Array.init t.n (fun i -> (t.row_cols.(i), t.row_vals.(i)))))
            mean_ref)
+    in
+    let* () =
+      check "row-part cache"
+        ((not t.rp_valid)
+        || Csr.equal
+             (Csr.of_sorted_rows ~n:t.n
+                (Array.init t.n (fun i -> (t.rp_cols.(i), t.rp_vals.(i)))))
+             (row_parts_ref mean_ref))
     in
     let graph_ref = Similarity.projection_csr mean_ref in
     let* () = check "similarity graph" (Csr.equal (projection t) graph_ref) in

@@ -10,9 +10,12 @@
       recomputed only for VMs whose windowed feature vector changed (a
       dirty row, or a column owned by one), via an inverted index over
       mutable mean mirrors — recomputed edge values are bit-identical
-      to the batch projection.  Changed edges are patched symmetrically
-      into a mutable adjacency, each clean partner row rebuilt at most
-      once per tick;
+      to the batch projection.  Each VM's partial dots over its row
+      dims are cached, so a VM whose own row did not change scatters
+      only its column dims; the cache is refreshed for changed rows and
+      rebuilt on the first incremental tick after a full one.  Changed
+      edges are patched symmetrically into a mutable adjacency, each
+      clean partner row rebuilt at most once per tick;
     - seeded clustering: {!Louvain.refine_seeded} runs a local-moving
       pass restricted to the BFS-expanded dirty frontier, followed by
       the standard aggregation cascade only when something moved, with
@@ -106,7 +109,9 @@ val push : ?domains:int -> t -> Cm_util.Csr.t -> stats
 
 val verify : t -> (unit, string) result
 (** Recompute the batch pipeline over the current window and compare:
-    [Ok ()] iff the windowed mean, its mirrors, the similarity graph
+    [Ok ()] iff the windowed mean, its mirrors, the row-part cache (when
+    valid: per VM, the partial dots over its row dims), the similarity
+    graph
     ({!Similarity.projection_csr}) and its weighted degrees (each row
     summed in ascending column order), component sizes and guarantee peaks
     ({!Infer.component_peaks}) are bitwise equal, and the labels equal

@@ -431,6 +431,11 @@ let of_csv text =
                   Some
                     (Printf.sprintf "line %d: VM %d exceeds the limit of %d"
                        (lineno + 1) (max i j) max_csv_vms)
+            | Some _, Some _, Some _, Some x when not (Float.is_finite x) ->
+                err :=
+                  Some
+                    (Printf.sprintf "line %d: rate %S is not finite"
+                       (lineno + 1) rate)
             | Some e, Some i, Some j, Some rate
               when e >= 0 && i >= 0 && j >= 0 && rate >= 0. ->
                 max_epoch := max !max_epoch e;

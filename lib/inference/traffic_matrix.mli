@@ -119,5 +119,6 @@ val of_csv : string -> (t, string) result
     largest indices; missing cells are 0.
     @return [Error] with a line-numbered message on malformed input,
     including duplicate [(epoch,src,dst)] cells (previously the last
-    line silently won) and an epoch or VM index at or beyond
-    {!max_csv_epochs} / {!max_csv_vms}. *)
+    line silently won), a negative or non-finite rate ([inf], [nan],
+    or a literal such as [1e999] that overflows), and an epoch or VM
+    index at or beyond {!max_csv_epochs} / {!max_csv_vms}. *)

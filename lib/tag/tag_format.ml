@@ -10,6 +10,8 @@ let tokens line =
 
 let parse_float what lineno s =
   match float_of_string_opt s with
+  | Some f when not (Float.is_finite f) ->
+      Error (Printf.sprintf "line %d: %s %S is not finite" lineno what s)
   | Some f when f >= 0. -> Ok f
   | Some _ -> Error (Printf.sprintf "line %d: negative %s" lineno what)
   | None -> Error (Printf.sprintf "line %d: bad %s %S" lineno what s)

@@ -24,7 +24,9 @@
     edges that use them. *)
 
 val of_string : string -> (Tag.t, string) result
-(** Parse; the error message includes the offending line number. *)
+(** Parse; the error message includes the offending line number.
+    Bandwidths must be finite and non-negative ([inf], [nan] and
+    overflowing literals such as [1e999] are errors). *)
 
 val to_text : Tag.t -> string
 (** Render a TAG in the same format; [of_string (to_text t)] succeeds

@@ -308,6 +308,36 @@ let test_mi_bounds () =
   check_float "independent mi 0" 0. (Ami.mutual_information a b);
   check_float "identical mi = H" (log 2.) (Ami.mutual_information a a)
 
+let test_mi_sorted_order_bitwise () =
+  (* MI is summed over the contingency cells in ascending (a, b) label
+     order, so its bits never depend on hash-table layout: pin it to
+     the naive sum in that order.  Labels are sparse and negative too. *)
+  let rng = Rng.create 5 in
+  let n = 300 in
+  let a = Array.init n (fun i -> (i / 20 * 7) - 30) in
+  let b =
+    Array.init n (fun i ->
+        if Rng.uniform rng < 0.2 then 1000 + Rng.int rng 25 else i / 15)
+  in
+  let count p = Array.fold_left (fun c x -> if p x then c + 1 else c) 0 in
+  let nf = float_of_int n in
+  let cells =
+    List.sort_uniq compare (List.init n (fun i -> (a.(i), b.(i))))
+  in
+  let reference =
+    List.fold_left
+      (fun acc (la, lb) ->
+        let c = count (fun i -> a.(i) = la && b.(i) = lb) (Array.init n Fun.id) in
+        let pij = float_of_int c /. nf in
+        let pi = float_of_int (count (( = ) la) a) /. nf in
+        let pj = float_of_int (count (( = ) lb) b) /. nf in
+        acc +. (pij *. log (pij /. (pi *. pj))))
+      0. cells
+  in
+  let mi = Ami.mutual_information a b in
+  Alcotest.(check string) "MI bits" (Printf.sprintf "%h" reference)
+    (Printf.sprintf "%h" mi)
+
 let test_expected_mi_between_0_and_mi () =
   let a = [| 0; 0; 0; 1; 1; 2 |] and b = [| 0; 1; 0; 1; 1; 2 |] in
   let emi = Ami.expected_mi a b in
@@ -427,6 +457,17 @@ let test_csv_errors () =
   match Tm.of_csv "epoch,src,dst,rate\n0,0,1,-4\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative rate must error"
+
+let test_csv_non_finite () =
+  (* float_of_string accepts these; a rate must still be finite. *)
+  List.iter
+    (fun rate ->
+      match Tm.of_csv (Printf.sprintf "epoch,src,dst,rate\n0,0,1,%s\n" rate) with
+      | Ok _ -> Alcotest.failf "rate %s must error" rate
+      | Error m ->
+          let frag = Printf.sprintf "line 2: rate %S is not finite" rate in
+          Alcotest.(check string) ("message for " ^ rate) frag m)
+    [ "inf"; "-inf"; "nan"; "1e999" ]
 
 let test_csv_duplicate_cell () =
   (* A repeated (epoch,src,dst) used to silently keep the last line. *)
@@ -624,6 +665,8 @@ let () =
           Alcotest.test_case "single cluster" `Quick test_ami_single_cluster_edge;
           Alcotest.test_case "entropy" `Quick test_entropy;
           Alcotest.test_case "mi bounds" `Quick test_mi_bounds;
+          Alcotest.test_case "mi sums in sorted label order" `Quick
+            test_mi_sorted_order_bitwise;
           Alcotest.test_case "expected mi bounds" `Quick
             test_expected_mi_between_0_and_mi;
           Alcotest.test_case "published goldens" `Quick test_ami_goldens;
@@ -642,6 +685,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_csv_roundtrip;
           Alcotest.test_case "errors" `Quick test_csv_errors;
           Alcotest.test_case "duplicate cell" `Quick test_csv_duplicate_cell;
+          Alcotest.test_case "non-finite rate" `Quick test_csv_non_finite;
           Alcotest.test_case "huge index" `Quick test_csv_huge_index;
           Alcotest.test_case "import to inference" `Quick test_csv_infer_pipeline;
         ] );

@@ -383,6 +383,81 @@ let test_stream_benchmark_shape () =
         true (p1 = p2))
     (List.combine one two)
 
+(* {1 Row-part cache} *)
+
+(* A ring of [tiers] tiers of [tier] VMs, tier [i] sending to [i + 1],
+   with a self-loop on the tiers [loops] selects. *)
+let ring_tag ~tiers ~tier ~loops =
+  Tag.create ~name:"ring"
+    ~components:(List.init tiers (fun i -> (Printf.sprintf "t%02d" i, tier)))
+    ~edges:
+      (List.concat
+         (List.init tiers (fun i ->
+              let chain = (i, (i + 1) mod tiers, 100., 100.) in
+              if loops.(i) then [ chain; (i, i, 25., 25.) ] else [ chain ])))
+    ()
+
+(* Random rings under seeded rate and role drift, with two bursts that
+   dirty every row (so past [dirty_full]): full ticks, the cache rebuild
+   on the next incremental tick, and incremental ticks patching the
+   cache in place (rate drift) and structurally (role drift) all
+   interleave.  [Stream.verify], which compares the row-part cache bit
+   for bit against the batch mean, runs after every push, and 1 and 2
+   domains must agree on every label and peak. *)
+let prop_row_part_cache =
+  QCheck.Test.make ~count:12
+    ~name:"row-part cache verified every push, 1 and 2 domains agree"
+    QCheck.(
+      set_shrink Shrink.nil
+        (triple (int_range 8 32) (int_range 8 12) (int_range 0 10_000)))
+    (fun (tiers, tier, seed) ->
+      let rng = Rng.create seed in
+      let loops = Array.init tiers (fun _ -> Rng.uniform rng < 0.3) in
+      let tag = ring_tag ~tiers ~tier ~loops in
+      let n = tiers * tier in
+      let window = Stream.default_config.Stream.window in
+      let b1 = 5 + Rng.int rng 3 in
+      let b2 = b1 + 5 + Rng.int rng 2 in
+      (* A tick's dirty rows are those changed in the last [window]
+         steps, so keeping the [window] steps after warm-up and after
+         each burst quiet makes the tick that ends them incremental. *)
+      let rebuilds = [ window; b1 + window; b2 + window ] in
+      let quiet e = List.exists (fun r -> e > r - window && e <= r) rebuilds in
+      let plan =
+        List.init 20 (fun e ->
+            if e = b1 || e = b2 then (n, 0)
+            else if quiet e then (Rng.int rng 2, 0)
+            else
+              let role = if Rng.uniform rng < 0.3 then 1 + Rng.int rng 2 else 0 in
+              (Rng.int rng 4, role))
+      in
+      let run domains =
+        let d = Tm.Drift.create ~rng:(Rng.create seed) tag in
+        let s = Stream.create ~n () in
+        List.mapi
+          (fun e (rate_drifters, role_drifters) ->
+            let st =
+              Stream.push ~domains s
+                (Tm.Drift.step ~rate_drifters ~role_drifters d)
+            in
+            (match Stream.verify s with
+            | Ok () -> ()
+            | Error msg ->
+                QCheck.Test.fail_reportf "%d domains, tick %d: %s" domains e msg);
+            let full_expected =
+              e < window
+              || (e >= b1 && e < b1 + window)
+              || (e >= b2 && e < b2 + window)
+            in
+            if full_expected && not st.Stream.full then
+              QCheck.Test.fail_reportf "tick %d: expected a full tick" e;
+            if List.mem e rebuilds && st.Stream.full then
+              QCheck.Test.fail_reportf "tick %d: expected an incremental tick" e;
+            (Stream.labels s, Stream.peaks s))
+          plan
+      in
+      run 1 = run 2)
+
 (* {1 Drift events} *)
 
 let test_no_drift_events_when_stationary () =
@@ -545,5 +620,6 @@ let () =
           Alcotest.test_case "guards" `Quick test_evaluate_with_tags_guards;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_window_mean_bitwise ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_window_mean_bitwise; prop_row_part_cache ] );
     ]

@@ -549,7 +549,19 @@ let test_format_errors () =
   expect_err "component web 4\nedge web nowhere 1 1\n" "unknown component";
   expect_err "frobnicate\n" "unrecognized";
   expect_err "component web 4\nedge web web -3 1\n" "line 2";
-  expect_err "component web 0\n" "size"
+  expect_err "component web 0\n" "size";
+  (* float_of_string accepts these; a bandwidth must still be finite,
+     and the message must name the value (nan is not "negative"). *)
+  List.iter
+    (fun x ->
+      let frag = Printf.sprintf "%S is not finite" x in
+      expect_err (Printf.sprintf "component web 4\nedge web web %s 1\n" x) frag;
+      expect_err (Printf.sprintf "component web 4\nedge web web 1 %s\n" x) frag;
+      expect_err (Printf.sprintf "component web 4\nselfloop web %s\n" x) frag;
+      expect_err
+        (Printf.sprintf "component a 2\ncomponent b 2\nduplex a b %s 1\n" x)
+        frag)
+    [ "inf"; "-inf"; "nan"; "1e999" ]
 
 let test_format_duplex () =
   (* Footnote 6: one undirected edge expands to the two directed edges
