@@ -70,8 +70,8 @@ bench-enforce:
 bench-enforce-scale:
 	dune exec bench/main.exe -- $(JOBS_FLAG) enforce-scale --metrics-out BENCH_enforce_scale.json
 
-# Inference hot-path benchmark only (dense vs CSR clustering pipeline
-# race with a label-digest equality gate); writes a metrics document to
+# Inference hot-path benchmark only (Infer.infer at 128 to 1,024 VMs,
+# with each size's label digest and AMI); writes a metrics document to
 # compare against the committed BENCH_pr5.json baseline.
 bench-inference:
 	dune exec bench/main.exe -- $(JOBS_FLAG) inference --metrics-out BENCH_inference.json

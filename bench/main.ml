@@ -160,12 +160,27 @@ let parse_args () =
   in
   go (List.tl (Array.to_list Sys.argv))
 
+(* Wall time of [f ()] in seconds on the monotonic clock (the clock
+   the closed-loop benchmark uses), with the result; with [runs], the
+   fastest of that many runs (the earliest on a tie). *)
+let time ?(runs = 1) f =
+  let once () =
+    let t0 = Monotonic_clock.now () in
+    let r = f () in
+    (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9, r)
+  in
+  let best = ref (once ()) in
+  for _ = 2 to runs do
+    let ((wall, _) as run) = once () in
+    if wall < fst !best then best := run
+  done;
+  !best
+
 let section name f =
   if !requested = [] || List.mem name !requested then begin
     Printf.printf "\n=== %s ===\n%!" name;
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Printf.printf "[%s finished in %.1fs]\n%!" name (Unix.gettimeofday () -. t0)
+    let wall, () = time f in
+    Printf.printf "[%s finished in %.1fs]\n%!" name wall
   end
 
 let print_tables tables = List.iter Table.print tables
@@ -200,18 +215,9 @@ let placement_bench () =
         load = 0.9;
       }
     in
-    let t0 = Unix.gettimeofday () in
-    let r = Cm_sim.Runner.run sched tree pool cfg in
-    (Unix.gettimeofday () -. t0, r)
+    Cm_sim.Runner.run sched tree pool cfg
   in
-  let best = ref None in
-  for _ = 1 to 3 do
-    let wall, r = run_once () in
-    match !best with
-    | Some (w, _) when w <= wall -> ()
-    | _ -> best := Some (wall, r)
-  done;
-  let wall, r = Option.get !best in
+  let wall, r = time ~runs:3 run_once in
   (* Every arrival is a placement decision; every accepted tenant also
      departs (the runner drains the queue), so the hot path executes
      [arrivals] places plus [accepted] releases. *)
@@ -295,11 +301,6 @@ let placement_scale_bench () =
   let make_tree degrees oversub =
     Tree.create { Tree.default_spec with degrees; oversub }
   in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
   let t =
     Table.create
       ~caption:
@@ -333,14 +334,14 @@ let placement_scale_bench () =
       let idx_wall =
         let tree = make_tree degrees oversub in
         let sched = Cm_sim.Driver.cm tree in
-        let wall, _ = timed (fun () -> Runner.run sched tree pool cfg) in
+        let wall, _ = time (fun () -> Runner.run sched tree pool cfg) in
         check_index tree;
         wall
       in
       let batched_run () =
         let tree = make_tree degrees oversub in
         let shard = Shard.create tree in
-        let r = timed (fun () -> Runner.run_batched shard pool cfg) in
+        let r = time (fun () -> Runner.run_batched shard pool cfg) in
         let stats = Tree.index_stats tree in
         check_index tree;
         (r, stats)
@@ -440,24 +441,8 @@ let enforce_bench () =
         let capacity = if id >= src_racks && id < src_racks + cores then 40_000. else 10_000. in
         { Maxmin.link_id = id; capacity })
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let best f =
-    let w = ref infinity and res = ref None in
-    for _ = 1 to 3 do
-      let wall, r = time f in
-      if wall < !w then begin
-        w := wall;
-        res := Some r
-      end
-    done;
-    (!w, Option.get !res)
-  in
   let new_wall, _ =
-    best (fun () ->
+    time ~runs:3 (fun () ->
         let rt = Runtime.create ~tag ~enforcement:Elastic.Tag_gp ~links () in
         Runtime.run rt ~flows ~periods)
   in
@@ -506,11 +491,6 @@ let enforce_scale_bench () =
   in
   let churn_epochs = if fast then 4 else 6 in
   let flows_per_pod = 40 and links_per_pod = 4 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
   let bits = Int64.bits_of_float in
   let t =
     Table.create
@@ -680,30 +660,24 @@ let enforce_scale_bench () =
   if not !jobs_invariant then
     failwith "enforce-scale: incremental solve is not jobs-invariant"
 
-(* TAG-inference hot-path benchmark: an 8-tier pipeline tenant at
+(* TAG-inference hot path: an 8-tier pipeline tenant at
    n ∈ {128, 512, 1024} VMs, traffic generated sparsely, then the
-   sparse clustering pipeline (mean_csr -> projection_csr ->
-   cluster_csr, i.e. CSR Louvain over the sparse projection) raced
-   against the dense reference pipeline (mean_matrix ->
-   projection_graph -> cluster) on the same traffic.  The two paths
-   are bit-identical by construction; the bench enforces it with a
-   label-digest gate and fails loudly on mismatch.  Results are
-   exported as [bench.inference.*] gauges (see BENCH_pr5.json); the
-   headline gauges (speedup, labels_match) are taken at the largest
-   size. *)
+   production entry point [Infer.infer] (mean_csr -> projection_csr ->
+   Louvain over adjacency rows -> guarantees), best of 3.  Each size
+   prints its label digest, which must not move when the pipeline is
+   rewritten (the test suite checks the labels bit for bit against the
+   dense oracle), and the AMI against the generator's truth.  Results
+   are exported as [bench.inference.*] gauges (see BENCH_pr5.json); the
+   unsuffixed gauges are taken at the largest size. *)
 let g_inf_n = Metrics.gauge "bench.inference.n_vms"
 let g_inf_nnz = Metrics.gauge "bench.inference.traffic_nnz"
 let g_inf_density = Metrics.gauge "bench.inference.traffic_density"
-let g_inf_dense_ms = Metrics.gauge "bench.inference.dense_ms"
 let g_inf_csr_ms = Metrics.gauge "bench.inference.csr_ms"
-let g_inf_speedup = Metrics.gauge "bench.inference.speedup"
-let g_inf_match = Metrics.gauge "bench.inference.labels_match"
 
 let inference_bench () =
   let module Csr = Cm_util.Csr in
   let module Tm = Cm_inference.Traffic_matrix in
-  let module Similarity = Cm_inference.Similarity in
-  let module Louvain = Cm_inference.Louvain in
+  let module Infer = Cm_inference.Infer in
   let p = !params in
   let pipeline_tag n =
     let tiers = 8 in
@@ -718,22 +692,6 @@ let inference_bench () =
     Cm_tag.Tag.create ~name:(Printf.sprintf "bench-infer-%d" n) ~components
       ~edges ()
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let best f =
-    let w = ref infinity and res = ref None in
-    for _ = 1 to 3 do
-      let wall, r = time f in
-      if wall < !w then begin
-        w := wall;
-        res := Some r
-      end
-    done;
-    (!w, Option.get !res)
-  in
   let digest labels =
     Array.fold_left (fun h l -> (h * 1_000_003) + l + 1) 17 labels
   in
@@ -741,19 +699,18 @@ let inference_bench () =
     Table.create
       ~caption:
         (Printf.sprintf
-           "Inference hot path: VM clustering (mean -> similarity \
-            projection -> Louvain) of an 8-tier pipeline tenant (8 epochs, \
-            noise 0.005, seed %d); sparse CSR pipeline vs dense reference, \
-            identical labels enforced by digest (best of 3)"
+           "Inference hot path: Infer.infer (mean -> similarity projection \
+            -> Louvain -> guarantees) of an 8-tier pipeline tenant (8 \
+            epochs, noise 0.005, seed %d; best of 3)"
            p.seed)
       [
         ("VMs", Table.Right);
         ("traffic nnz", Table.Right);
         ("density", Table.Right);
-        ("dense (ms)", Table.Right);
-        ("CSR (ms)", Table.Right);
-        ("speedup", Table.Right);
-        ("labels", Table.Right);
+        ("infer (ms)", Table.Right);
+        ("comps", Table.Right);
+        ("AMI", Table.Right);
+        ("label digest", Table.Right);
       ]
   in
   List.iter
@@ -763,44 +720,30 @@ let inference_bench () =
         Span.with_ "inference.generate" (fun () ->
             Tm.generate ~noise_prob:0.005 ~rng (pipeline_tag n))
       in
-      let dense_wall, dense_labels =
-        best (fun () ->
-            Louvain.cluster (Similarity.projection_graph (Tm.mean_matrix tm)))
-      in
-      let csr_wall, csr_labels =
-        best (fun () ->
-            Louvain.cluster_csr (Similarity.projection_csr (Tm.mean_csr tm)))
-      in
-      let matches = digest dense_labels = digest csr_labels in
-      if not matches then
-        failwith
-          (Printf.sprintf
-             "bench inference: dense and CSR pipelines' labels diverge at \
-              n=%d"
-             n);
+      let wall, r = time ~runs:3 (fun () -> Infer.infer tm) in
+      let ami = Option.get r.Infer.ami_vs_truth in
       let nnz =
         Array.fold_left (fun acc e -> acc + Csr.nnz e) 0 tm.Tm.epochs
       in
       let density =
         float_of_int nnz /. float_of_int (n * n * Array.length tm.Tm.epochs)
       in
-      let speedup = dense_wall /. csr_wall in
       Metrics.set g_inf_n (float_of_int n);
       Metrics.set g_inf_nnz (float_of_int nnz);
       Metrics.set g_inf_density density;
-      Metrics.set g_inf_dense_ms (1e3 *. dense_wall);
-      Metrics.set g_inf_csr_ms (1e3 *. csr_wall);
-      Metrics.set g_inf_speedup speedup;
-      Metrics.set g_inf_match (if matches then 1. else 0.);
+      Metrics.set g_inf_csr_ms (1e3 *. wall);
+      Metrics.set
+        (Metrics.gauge (Printf.sprintf "bench.inference.ami.%d" n))
+        ami;
       Table.add_row t
         [
           string_of_int n;
           string_of_int nnz;
           Printf.sprintf "%.1f%%" (100. *. density);
-          Printf.sprintf "%.2f" (1e3 *. dense_wall);
-          Printf.sprintf "%.2f" (1e3 *. csr_wall);
-          Printf.sprintf "%.1fx" speedup;
-          (if matches then "identical" else "DIVERGED");
+          Printf.sprintf "%.2f" (1e3 *. wall);
+          string_of_int r.Infer.n_components;
+          Printf.sprintf "%.4f" ami;
+          Printf.sprintf "%016x" (digest r.Infer.labels);
         ])
     [ 128; 512; 1024 ];
   Table.print t
@@ -852,11 +795,6 @@ let inference_stream_bench () =
     in
     Cm_tag.Tag.create ~name:(Printf.sprintf "stream-%d" n) ~components ~edges
       ()
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
   in
   let t =
     Table.create
@@ -913,7 +851,7 @@ let inference_stream_bench () =
               let tmw = Tm.of_epochs epochs in
               let mean = Tm.mean_csr tmw in
               let graph = Similarity.projection_csr mean in
-              let labels = Louvain.cluster_csr graph in
+              let labels = Louvain.cluster (Louvain.of_csr graph) in
               ignore (Infer.component_peaks epochs labels);
               labels)
         in

@@ -71,7 +71,7 @@ let infer ?(resolution = 1.) (tm : Traffic_matrix.t) =
       in
       let labels =
         Cm_obs.Span.with_ "infer.cluster" (fun () ->
-            Louvain.cluster_csr ~resolution graph)
+            Louvain.cluster ~resolution (Louvain.of_csr graph))
       in
       let inferred = guarantees_of_labels tm labels in
       let ami_vs_truth =

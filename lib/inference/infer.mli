@@ -7,7 +7,7 @@
 
     The pipeline runs entirely on the sparse representation
     ({!Traffic_matrix.mean_csr} → {!Similarity.projection_csr} →
-    {!Louvain.cluster_csr}) and emits [infer.*] {!Cm_obs.Span}s for the
+    {!Louvain.of_csr} → {!Louvain.cluster}) and emits [infer.*] {!Cm_obs.Span}s for the
     mean / projection / clustering stages. *)
 
 type result = {

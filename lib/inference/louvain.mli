@@ -1,99 +1,83 @@
 (** Louvain community detection (Blondel et al. 2008, the paper's [35])
     on weighted undirected graphs: greedy local moving that maximizes
-    modularity, followed by graph aggregation, repeated until no pass
-    improves.
+    modularity, followed by graph aggregation, repeated until a level
+    merges nothing.
 
-    Two interchangeable representations: the historical dense
-    [float array array] reference, and the {!Cm_util.Csr} hot path whose
-    inner loop is allocation-free (flat neighbour-community weight
-    accumulator + touched-list reset instead of a per-node Hashtbl,
-    scratch reused across aggregation levels).  For the same matrix the
-    two produce {e identical} labels: neighbour weights accumulate in
-    ascending-column order on both paths, and moves use an
-    order-independent selection key — exact maximum gain, ties broken
-    towards the lowest community id (folding a Hashtbl, as the dense
-    path previously did, made equal-gain ties depend on hash order). *)
+    One graph form, per-vertex adjacency rows ({!graph}), serves the
+    cold clustering, the streaming engine's seeded refinement and the
+    aggregated coarse levels.  Both local-moving passes share one move
+    rule: neighbour weights accumulate in ascending column order, and a
+    vertex joins the community of exact maximum gain, ties broken
+    towards the lowest community id, only when that beats staying by
+    more than 1e-12.  The labels are therefore independent of hash or
+    scan order, and the test suite's dense oracle reproduces them bit
+    for bit.  The inner loops allocate nothing: scratch lives in a
+    reusable {!frame}. *)
 
-val modularity : ?resolution:float -> float array array -> int array -> float
-(** Newman modularity of a labelling of the given symmetric adjacency
-    matrix (diagonal entries are self-loop weights).  [resolution]
-    (default 1) is the Reichardt–Bornholdt gamma: larger values favour
-    more, smaller communities. *)
+type graph = {
+  n : int;
+  cols : int array array;
+      (** [cols.(i)]: vertex [i]'s neighbours, strictly ascending (a
+          self-loop is [i] itself). *)
+  vals : float array array;  (** Matching weights, all [> 0.]. *)
+  k : float array;
+      (** Weighted degrees: each row of [vals] summed in ascending
+          column order. *)
+  mutable m2 : float;  (** The degrees summed in vertex order. *)
+}
+(** A symmetric weighted graph as adjacency rows.  The streaming engine
+    patches rows, degrees and [m2] in place as its similarity graph
+    changes. *)
 
-val modularity_csr : ?resolution:float -> Cm_util.Csr.t -> int array -> float
-(** Same quantity over a sparse matrix.  The degree penalty is computed
-    per community rather than per pair, so agreement with {!modularity}
-    is to float tolerance, not bit-exact. *)
+val of_csr : Cm_util.Csr.t -> graph
+(** The rows of a symmetric matrix, degrees and [m2] included —
+    degrees bit-identical to [Csr.row_sums]. *)
 
-val modularity_graph :
-  ?resolution:float ->
-  n:int ->
-  k:float array ->
-  m2:float ->
-  cols:int array array ->
-  vals:float array array ->
-  int array ->
-  float
-(** {!modularity_csr} over per-vertex adjacency rows: vertex [i]'s
-    neighbours are [cols.(i)] (ascending) with weights [vals.(i)], and
-    the weighted degrees [k] and their sum [m2] are supplied by the
-    caller — the form the streaming engine's mutable similarity graph
-    can answer without materializing a CSR.  The rows are read
-    directly, so the pass allocates only the per-community degree
-    sums. *)
+val modularity : ?resolution:float -> graph -> int array -> float
+(** Newman modularity of a labelling; diagonal entries are self-loop
+    weight.  [resolution] (default 1) is the Reichardt–Bornholdt gamma:
+    larger values favour more, smaller communities.  The degree penalty
+    is summed per community, so agreement with a pair-by-pair sum is
+    to float tolerance, not bit-exact. *)
+
+type frame
+(** Scratch for every pass over graphs of up to a given vertex count. *)
+
+val make_frame : int -> frame
+
+val cluster : ?resolution:float -> ?frame:frame -> graph -> int array
+(** Community label per vertex, renumbered to [0..k-1]: cold local
+    moving from singletons (vertices swept in index order), then the
+    aggregation cascade.  [frame] (default: a fresh one) must cover
+    [n] vertices.
+    @raise Invalid_argument on a frame smaller than the graph. *)
 
 val refine_seeded :
   ?resolution:float ->
-  n:int ->
-  k:float array ->
-  m2:float ->
-  cols:int array array ->
-  vals:float array array ->
+  ?frame:frame ->
+  graph ->
   seed:int array ->
   frontier:int array ->
-  unit ->
   int array * int
-(** One seeded local-moving pass over a dirty-vertex [frontier], on the
-    graph given as {!modularity_graph}'s adjacency rows:
-    vertices start in their [seed] communities (labels in [[0, n)]) and
-    only queued vertices are examined; an accepted move wakes the
-    mover's neighbours and every member of the two touched communities
-    (BFS expansion, the [Maxmin.Inc] dirty-component shape).  Move
-    selection is the cold pass's exact (max gain, lowest community id)
-    rule, extended with a gain-0 fresh-singleton escape so a seeded
-    pass can split communities.  Every accepted move strictly increases
-    modularity, so the pass terminates (a generous work budget guards
-    near-tie pathologies).  Returns deterministic {e unrenumbered}
-    labels in [[0, n)] plus the number of vertices that moved.
-    @raise Invalid_argument on a seed label outside [[0, n)]. *)
+(** Incremental re-clustering: one seeded local-moving pass over a
+    dirty-vertex [frontier], then the same aggregation cascade as
+    {!cluster}.  Vertices start in their [seed] communities (labels in
+    [[0, n)]) and only queued vertices are examined; an accepted move
+    wakes the mover's neighbours and every member of the two touched
+    communities (BFS expansion, the [Maxmin.Inc] dirty-component
+    shape).  Moves follow {!cluster}'s rule, extended with a gain-0
+    fresh-singleton escape so a seeded pass can split communities.
+    Every accepted move strictly increases modularity, so the pass
+    terminates (a generous work budget guards near-tie pathologies).
+    Returns the canonical labels and the number of moves; when nothing
+    moved, the labels are [seed] itself.
+    @raise Invalid_argument on a seed label outside [[0, n)] or a frame
+    smaller than the graph. *)
 
-val renumber : int array -> int array
-(** Canonicalize labels to [0..k-1] in order of first appearance — the
-    normal form {!cluster} emits and the streaming engine applies after
-    composing a {!refine_seeded} pass with a coarse re-clustering. *)
-
-val cluster : ?resolution:float -> float array array -> int array
-(** Community label per node, renumbered to [0..k-1].  Deterministic
-    (nodes are scanned in index order; ties are order-independent). *)
-
-val cluster_csr : ?resolution:float -> Cm_util.Csr.t -> int array
-(** Sparse clustering; produces exactly {!cluster}'s labels for the
-    same matrix. *)
-
-(** {1 Single passes}
-
-    Exposed for property tests (e.g. modularity is non-decreasing
-    across aggregation levels); {!cluster}/{!cluster_csr} compose
-    them. *)
-
-val one_level : ?resolution:float -> float array array -> int array * bool
-(** One local-moving pass; returns labels renumbered to [0..k-1] and
-    whether any node moved. *)
-
-val one_level_csr : ?resolution:float -> Cm_util.Csr.t -> int array * bool
-
-val aggregate : float array array -> int array -> float array array
-(** Collapse each community to one node, summing edge weights
-    (intra-community weight lands on the diagonal as a self-loop). *)
-
-val aggregate_csr : Cm_util.Csr.t -> int array -> Cm_util.Csr.t
+val aggregate : graph -> int array -> graph
+(** Collapse each community of a canonical labelling to one vertex,
+    summing edge weights (intra-community weight lands on the diagonal
+    as a self-loop).  Each coarse cell receives its additions in
+    row-major (i, j) order, and memory is linear in [n] plus the
+    number of stored entries.  This is the step between {!cluster}'s
+    levels, exposed for tests. *)

@@ -1,45 +1,12 @@
 module Csr = Cm_util.Csr
 
-let feature_vectors m =
-  let n = Array.length m in
-  Array.init n (fun i ->
-      Array.init (2 * n) (fun k -> if k < n then m.(i).(k) else m.(k - n).(i)))
-
-let cosine a b =
-  let n = Array.length a in
-  let dot = ref 0. and na = ref 0. and nb = ref 0. in
-  for i = 0 to n - 1 do
-    dot := !dot +. (a.(i) *. b.(i));
-    na := !na +. (a.(i) *. a.(i));
-    nb := !nb +. (b.(i) *. b.(i))
-  done;
-  if !na = 0. || !nb = 0. then 0.
-  else Float.max 0. (Float.min 1. (!dot /. sqrt (!na *. !nb)))
-
-let angular_similarity a b =
-  1. -. (2. *. acos (cosine a b) /. Float.pi)
-
-let projection_graph m =
-  let features = feature_vectors m in
-  let n = Array.length m in
-  let g = Array.make_matrix n n 0. in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let s = angular_similarity features.(i) features.(j) in
-      let s = Float.max 0. s in
-      g.(i).(j) <- s;
-      g.(j).(i) <- s
-    done
-  done;
-  g
-
 let projection_csr (m : Csr.t) =
   let n = m.Csr.n in
   let mt = Csr.transpose m in
   (* VM i's sparse feature vector: row i of [m] (feature dim = column)
      followed by row i of [mt] (feature dim = n + column), both
      ascending — exactly the nonzeros of the dense feature vector in
-     dim order, so every sum below reproduces the dense one bit-for-bit
+     dim order, so every sum below reproduces the dense one bit for bit
      (the skipped terms multiply or add a [0.], a no-op on non-negative
      accumulators). *)
   let norms = Array.make n 0. in

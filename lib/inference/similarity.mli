@@ -1,29 +1,17 @@
 (** VM similarity from traffic matrices (paper §3, "Producing TAG
     models"): each VM's feature vector is the concatenation of its row
     (outgoing) and column (incoming) of the bandwidth-weighted traffic
-    matrix; similarity is derived from the angular distance between
-    vectors; the projection graph carries one weighted edge per similar
-    VM pair. *)
-
-val feature_vectors : float array array -> float array array
-(** [feature_vectors m].(i) is row i of [m] concatenated with column i. *)
-
-val cosine : float array -> float array -> float
-(** Cosine similarity in [0, 1] for non-negative vectors; 0 when either
-    vector is all-zero. *)
-
-val angular_similarity : float array -> float array -> float
-(** [1 - 2*acos(cosine)/pi]: 1 for parallel vectors, 0 for orthogonal. *)
-
-val projection_graph : float array array -> float array array
-(** Symmetric VM-by-VM weight matrix of angular similarities (zero
-    diagonal), from a traffic matrix. *)
+    matrix; similarity is the angular similarity
+    [1 - 2*acos(cosine)/pi] of two vectors, 1 for parallel and 0 for
+    orthogonal ones; the projection graph carries one weighted edge per
+    VM pair of positive similarity. *)
 
 val projection_csr : Cm_util.Csr.t -> Cm_util.Csr.t
-(** Sparse projection graph: per-pair cosines via merge-based dot
-    products over each VM's sparse feature support (row nonzeros, then
-    column nonzeros offset by n) — O(nnz_i + nnz_j) per pair instead of
-    O(2n).  Every accumulated sum visits the same nonzero terms in the
-    same order as the dense path, so the edge weights (and hence
-    downstream Louvain labels) are bit-identical to
-    [Csr.of_dense (projection_graph (Csr.to_dense m))]. *)
+(** Sparse, symmetric projection graph with an empty diagonal.  Dot
+    products run through an inverted index over each VM's sparse
+    feature support (row nonzeros, then column nonzeros offset by n),
+    one multiply-add per support coincidence instead of O(2n) per pair.
+    Every sum visits its nonzero terms in ascending feature-dimension
+    order, the order of a dense pair-by-pair loop, so the edge weights
+    are bit-identical to that loop's; the test suite's dense oracle
+    checks this. *)

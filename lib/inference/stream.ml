@@ -91,11 +91,10 @@ type t = {
   rp_vals : float array array;
   mutable rp_valid : bool;
   row_dirty : bool array;  (* rows being refreshed this tick *)
-  (* Similarity graph as mutable per-vertex sorted adjacency. *)
-  g_cols : int array array;
-  g_vals : float array array;
-  deg : float array;
-  mutable m2 : float;
+  (* Similarity graph as mutable per-vertex sorted adjacency, with its
+     weighted degrees; rows are patched in place between full ticks. *)
+  mutable g : Louvain.graph;
+  fr : Louvain.frame;  (* clustering scratch *)
   mutable labels : int array;  (* canonical 0..ncomp-1 *)
   mutable ncomp : int;
   mutable sizes : int array;
@@ -159,10 +158,15 @@ let create ?(config = default_config) ?series_prefix ~n () =
     rp_vals = Array.make n [||];
     rp_valid = false;
     row_dirty = Array.make n false;
-    g_cols = Array.make n [||];
-    g_vals = Array.make n [||];
-    deg = Array.make n 0.;
-    m2 = 0.;
+    g =
+      {
+        Louvain.n;
+        cols = Array.make n [||];
+        vals = Array.make n [||];
+        k = Array.make n 0.;
+        m2 = 0.;
+      };
+    fr = Louvain.make_frame n;
     labels = [||];
     ncomp = 0;
     sizes = [||];
@@ -221,19 +225,17 @@ let past (a : int array) i =
   done;
   !lo
 
-(* The similarity graph as a CSR matrix, via its strict upper triangle
-   — bit-identical to [Similarity.projection_csr] of the current mean
+(* Per-vertex sorted rows as a CSR matrix.
+   @raise Invalid_argument when a row breaks the CSR contract. *)
+let rows_csr n (cols : int array array) (vals : float array array) =
+  Csr.of_sorted_rows ~n (Array.init n (fun i -> (cols.(i), vals.(i))))
+
+(* The similarity graph as a CSR matrix, both halves as stored —
+   bit-identical to [Similarity.projection_csr] of the current mean
    (asserted by [verify]). *)
 let projection t =
   started t;
-  let upper =
-    Array.init t.n (fun i ->
-        let gc = t.g_cols.(i) and gv = t.g_vals.(i) in
-        let len = Array.length gc in
-        let lo = past gc i in
-        (Array.sub gc lo (len - lo), Array.sub gv lo (len - lo)))
-  in
-  Csr.of_upper ~n:t.n upper
+  rows_csr t.n t.g.Louvain.cols t.g.Louvain.vals
 
 let peaks t =
   started t;
@@ -262,12 +264,12 @@ let refresh_norm t v =
 
 (* Weighted degree of [v] from its adjacency row, ascending. *)
 let refresh_deg t v =
-  let gv = t.g_vals.(v) in
+  let gv = t.g.Louvain.vals.(v) in
   let s = ref 0. in
   for p = 0 to Array.length gv - 1 do
     s := !s +. gv.(p)
   done;
-  t.deg.(v) <- !s
+  t.g.Louvain.k.(v) <- !s
 
 let load_mirrors t (mean : Csr.t) =
   let mt = Csr.transpose mean in
@@ -280,17 +282,6 @@ let load_mirrors t (mean : Csr.t) =
     t.col_vals.(i) <- Array.sub mt.Csr.values lo (hi - lo);
     refresh_norm t i
   done
-
-let load_graph t (graph : Csr.t) =
-  let m2 = ref 0. in
-  for i = 0 to t.n - 1 do
-    let lo = graph.Csr.row_ptr.(i) and hi = graph.Csr.row_ptr.(i + 1) in
-    t.g_cols.(i) <- Array.sub graph.Csr.col_idx lo (hi - lo);
-    t.g_vals.(i) <- Array.sub graph.Csr.values lo (hi - lo);
-    refresh_deg t i;
-    m2 := !m2 +. t.deg.(i)
-  done;
-  t.m2 <- !m2
 
 let set_labels t labels =
   t.labels <- labels;
@@ -592,14 +583,14 @@ let[@inline] patch_edge t v u x =
    owned by the engine, so nothing else sees the write. *)
 let reweigh_edge t v u (src : float array) q =
   if not t.mark.(v) then begin
-    let gc = t.g_cols.(v) in
+    let gc = t.g.Louvain.cols.(v) in
     let lo = ref 0 and hi = ref (Array.length gc - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if gc.(mid) < u then lo := mid + 1 else hi := mid
     done;
     assert (gc.(!lo) = u);
-    t.g_vals.(v).(!lo) <- src.(q)
+    t.g.Louvain.vals.(v).(!lo) <- src.(q)
   end;
   t.mark2.(v) <- true
 
@@ -607,7 +598,7 @@ let reweigh_edge t v u (src : float array) q =
    (ascending source vertex) into its adjacency row, staging the result
    in the sequential scratch. *)
 let apply_patches t v lo hi =
-  let oc = t.g_cols.(v) and ov = t.g_vals.(v) in
+  let oc = t.g.Louvain.cols.(v) and ov = t.g.Louvain.vals.(v) in
   let olen = Array.length oc in
   let cols = t.scr.(0).cbuf and vals = t.scr.(0).vbuf in
   let out = ref 0 in
@@ -630,8 +621,8 @@ let apply_patches t v lo hi =
   let rest = olen - !p in
   Array.blit oc !p cols !out rest;
   Array.blit ov !p vals !out rest;
-  t.g_cols.(v) <- Array.sub cols 0 (!out + rest);
-  t.g_vals.(v) <- Array.sub vals 0 (!out + rest)
+  t.g.Louvain.cols.(v) <- Array.sub cols 0 (!out + rest);
+  t.g.Louvain.vals.(v) <- Array.sub vals 0 (!out + rest)
 
 (* Bucket the queued patches by partner (a stable counting sort, so each
    partner's patches stay in ascending source order) and apply them. *)
@@ -681,14 +672,11 @@ let full_tick t =
   let mean = Window.mean t.win in
   load_mirrors t mean;
   t.rp_valid <- false;
-  let graph = Similarity.projection_csr mean in
-  load_graph t graph;
-  let labels = Louvain.cluster_csr ~resolution:t.cfg.resolution graph in
+  t.g <- Louvain.of_csr (Similarity.projection_csr mean);
+  let resolution = t.cfg.resolution in
+  let labels = Louvain.cluster ~resolution ~frame:t.fr t.g in
   set_labels t labels;
-  let q =
-    Louvain.modularity_graph ~resolution:t.cfg.resolution ~n:t.n ~k:t.deg
-      ~m2:t.m2 ~cols:t.g_cols ~vals:t.g_vals labels
-  in
+  let q = Louvain.modularity ~resolution t.g labels in
   t.q_ref <- q;
   rebuild_guarantees t;
   q
@@ -886,7 +874,7 @@ let incremental_tick t ?domains () =
   for idx = 0 to Array.length dirty - 1 do
     let u = dirty.(idx) in
     let ncols, nvals = new_rows.(idx) in
-    let oc = t.g_cols.(u) and ov = t.g_vals.(u) in
+    let oc = t.g.Louvain.cols.(u) and ov = t.g.Louvain.vals.(u) in
     let olen = Array.length oc and nlen = Array.length ncols in
     let p = ref 0 and q = ref 0 in
     let changed = ref false in
@@ -911,8 +899,8 @@ let incremental_tick t ?domains () =
       end
     done;
     if !changed then front.(u) <- true;
-    t.g_cols.(u) <- ncols;
-    t.g_vals.(u) <- nvals;
+    t.g.Louvain.cols.(u) <- ncols;
+    t.g.Louvain.vals.(u) <- nvals;
     refresh_deg t u
   done;
   flush_patches t;
@@ -922,9 +910,9 @@ let incremental_tick t ?domains () =
   done;
   let m2 = ref 0. in
   for i = 0 to t.n - 1 do
-    m2 := !m2 +. t.deg.(i)
+    m2 := !m2 +. t.g.Louvain.k.(i)
   done;
-  t.m2 <- !m2;
+  t.g.Louvain.m2 <- !m2;
   (* Frontier (ascending) for the seeded local-moving pass. *)
   let n_front = ref 0 in
   for v = 0 to t.n - 1 do
@@ -942,46 +930,17 @@ let incremental_tick t ?domains () =
   Array.fill t.mark 0 t.n false;
   (dirty_rows, dirty, frontier)
 
+(* The seeded pass over the dirty frontier plus the aggregation
+   cascade; returns the moves and whether the labels were replaced. *)
 let cluster_incremental t frontier =
-  let resolution = t.cfg.resolution in
   if Array.length frontier = 0 then (0, false)
   else begin
-    let raw, moved =
-      Louvain.refine_seeded ~resolution ~n:t.n ~k:t.deg ~m2:t.m2
-        ~cols:t.g_cols ~vals:t.g_vals ~seed:t.labels ~frontier ()
+    let labels, moved =
+      Louvain.refine_seeded ~resolution:t.cfg.resolution ~frame:t.fr t.g
+        ~seed:t.labels ~frontier
     in
     if moved = 0 then (0, false)
     else begin
-      let lab1 = Louvain.renumber raw in
-      let nc1 = 1 + Array.fold_left max 0 lab1 in
-      let labels =
-        if nc1 >= t.n then lab1
-        else begin
-          (* Continue the aggregation cascade exactly as cluster_csr
-             would: collapse, re-cluster the coarse graph, compose. *)
-          let acc = Array.make (nc1 * nc1) 0. in
-          for i = 0 to t.n - 1 do
-            let gc = t.g_cols.(i) and gv = t.g_vals.(i) in
-            let row = lab1.(i) * nc1 in
-            for p = 0 to Array.length gc - 1 do
-              let idx = row + lab1.(gc.(p)) in
-              acc.(idx) <- acc.(idx) +. gv.(p)
-            done
-          done;
-          let rows =
-            Array.init nc1 (fun a ->
-                let cells = ref [] in
-                for b = nc1 - 1 downto 0 do
-                  let v = acc.((a * nc1) + b) in
-                  if v > 0. then cells := (b, v) :: !cells
-                done;
-                !cells)
-          in
-          let coarse = Csr.of_row_lists ~n:nc1 rows in
-          let lab2 = Louvain.cluster_csr ~resolution coarse in
-          Louvain.renumber (Array.map (fun l1 -> lab2.(l1)) lab1)
-        end
-      in
       set_labels t labels;
       (moved, true)
     end
@@ -1040,30 +999,32 @@ let verify t =
     let epochs = Window.epochs t.win in
     let mean_ref = Traffic_matrix.mean_csr (Traffic_matrix.of_epochs epochs) in
     let* () = check "windowed mean" (Csr.equal (Window.mean t.win) mean_ref) in
-    let* () =
-      check "mean mirrors"
-        (Csr.equal
-           (Csr.of_sorted_rows ~n:t.n
-              (Array.init t.n (fun i -> (t.row_cols.(i), t.row_vals.(i)))))
-           mean_ref)
+    let rows_equal cols vals m =
+      match rows_csr t.n cols vals with
+      | rows -> Csr.equal rows m
+      | exception Invalid_argument _ -> false
     in
+    let* () = check "mean mirrors" (rows_equal t.row_cols t.row_vals mean_ref) in
     let* () =
       check "row-part cache"
         ((not t.rp_valid)
-        || Csr.equal
-             (Csr.of_sorted_rows ~n:t.n
-                (Array.init t.n (fun i -> (t.rp_cols.(i), t.rp_vals.(i)))))
-             (row_parts_ref mean_ref))
+        || rows_equal t.rp_cols t.rp_vals (row_parts_ref mean_ref))
     in
+    (* Every row in full: full ticks and fallbacks cluster both halves. *)
     let graph_ref = Similarity.projection_csr mean_ref in
-    let* () = check "similarity graph" (Csr.equal (projection t) graph_ref) in
+    let g = t.g in
+    let* () =
+      check "similarity graph"
+        (rows_equal g.Louvain.cols g.Louvain.vals graph_ref)
+    in
     let deg_ref = Csr.row_sums graph_ref in
     let* () =
       check "weighted degrees"
-        (t.deg = deg_ref && t.m2 = Array.fold_left ( +. ) 0. deg_ref)
+        (g.Louvain.k = deg_ref
+        && g.Louvain.m2 = Array.fold_left ( +. ) 0. deg_ref)
     in
     let labels_ref =
-      Louvain.cluster_csr ~resolution:t.cfg.resolution graph_ref
+      Louvain.cluster ~resolution:t.cfg.resolution (Louvain.of_csr graph_ref)
     in
     let* () =
       if t.last_full then check "labels" (t.labels = labels_ref)
@@ -1118,21 +1079,14 @@ let push ?domains t epoch =
         else begin
           let rows, dirty, frontier = incremental_tick t ?domains () in
           let moved, labels_changed = cluster_incremental t frontier in
-          let q =
-            Louvain.modularity_graph ~resolution:t.cfg.resolution ~n:t.n
-              ~k:t.deg ~m2:t.m2 ~cols:t.g_cols ~vals:t.g_vals t.labels
-          in
+          let resolution = t.cfg.resolution in
+          let q = Louvain.modularity ~resolution t.g t.labels in
           let fallback = q < t.q_ref -. t.cfg.fallback_bound in
           if fallback then begin
             (* Quality degraded past the bound: re-cluster the (exact)
                incremental graph from scratch and re-anchor q_ref. *)
-            let graph = projection t in
-            let labels = Louvain.cluster_csr ~resolution:t.cfg.resolution graph in
-            set_labels t labels;
-            let q =
-              Louvain.modularity_graph ~resolution:t.cfg.resolution ~n:t.n
-                ~k:t.deg ~m2:t.m2 ~cols:t.g_cols ~vals:t.g_vals t.labels
-            in
+            set_labels t (Louvain.cluster ~resolution ~frame:t.fr t.g);
+            let q = Louvain.modularity ~resolution t.g t.labels in
             t.q_ref <- q;
             if t.labels = prev_labels && not labels_changed then
               update_guarantees_partial t epoch dirty

@@ -18,8 +18,9 @@
       clean partner row rebuilt at most once per tick;
     - seeded clustering: {!Louvain.refine_seeded} runs a local-moving
       pass restricted to the BFS-expanded dirty frontier, followed by
-      the standard aggregation cascade only when something moved, with
-      a full re-cluster fallback whenever modularity degrades more than
+      {!Louvain.cluster}'s aggregation cascade only when something
+      moved, with a full {!Louvain.cluster} fallback on the same
+      adjacency rows whenever modularity degrades more than
       [fallback_bound] below the best value seen since the last full
       pass (the incremental graph is exact, so the fallback lands on
       precisely the cold labelling);
@@ -111,11 +112,11 @@ val verify : t -> (unit, string) result
 (** Recompute the batch pipeline over the current window and compare:
     [Ok ()] iff the windowed mean, its mirrors, the row-part cache (when
     valid: per VM, the partial dots over its row dims), the similarity
-    graph
-    ({!Similarity.projection_csr}) and its weighted degrees (each row
-    summed in ascending column order), component sizes and guarantee peaks
+    graph ({!Similarity.projection_csr}; every row in full, both halves)
+    and its weighted degrees (each row summed in ascending column
+    order), component sizes and guarantee peaks
     ({!Infer.component_peaks}) are bitwise equal, and the labels equal
-    {!Louvain.cluster_csr}'s after a full or fallback tick (AMI
+    {!Louvain.cluster}'s after a full or fallback tick (AMI
     [>= ami_parity] after an incremental one).  [Ok ()] before the first
     {!push}.  Pure; tests call it between pushes. *)
 
@@ -137,7 +138,8 @@ val mean : t -> Cm_util.Csr.t
     [Traffic_matrix.mean_csr] over {!window_epochs}). *)
 
 val projection : t -> Cm_util.Csr.t
-(** Current similarity graph as a CSR snapshot (bit-identical to
+(** Current similarity graph as a CSR snapshot of the engine's
+    adjacency rows, both halves as stored (bit-identical to
     [Similarity.projection_csr] of {!mean}). *)
 
 val window_epochs : t -> Cm_util.Csr.t array

@@ -389,11 +389,11 @@ let mean_csr t =
   in
   Csr.of_row_lists ~n rows
 
-let mean_matrix t = Csr.to_dense (mean_csr t)
+let csv_header = "epoch,src,dst,rate"
 
 let to_csv t =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "epoch,src,dst,rate\n";
+  Buffer.add_string buf (csv_header ^ "\n");
   Array.iteri
     (fun e m ->
       Csr.iter_nz m (fun i j rate ->
@@ -412,7 +412,11 @@ let of_csv text =
   List.iteri
     (fun lineno line ->
       let line = String.trim line in
-      if !err = None && line <> "" && lineno > 0 then begin
+      if lineno = 0 then begin
+        if line <> csv_header then
+          err := Some (Printf.sprintf "line 1: expected the header %s" csv_header)
+      end
+      else if !err = None && line <> "" then begin
         match String.split_on_char ',' line with
         | [ e; i; j; rate ] -> begin
             match

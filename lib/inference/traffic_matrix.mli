@@ -93,13 +93,11 @@ end
 val mean_csr : t -> Cm_util.Csr.t
 (** Per-pair rate averaged over epochs (summed per cell, divided once). *)
 
-val mean_matrix : t -> float array array
-(** Dense view of {!mean_csr}. *)
-
 (** {1 Import/export}
 
     CSV interchange so operators can feed measured matrices: one line
-    per epoch cell, [epoch,src,dst,rate] with a header line.  Ground
+    per epoch cell, [epoch,src,dst,rate], after the header line
+    [epoch,src,dst,rate].  Ground
     truth is unknown for imported data; [truth] is all zeros and
     [truth_known] is false. *)
 
@@ -118,7 +116,7 @@ val of_csv : string -> (t, string) result
 (** Parses the {!to_csv} format.  Dimensions are inferred from the
     largest indices; missing cells are 0.
     @return [Error] with a line-numbered message on malformed input,
-    including duplicate [(epoch,src,dst)] cells (previously the last
+    including a first line that is not the header, duplicate [(epoch,src,dst)] cells (previously the last
     line silently won), a negative or non-finite rate ([inf], [nan],
     or a literal such as [1e999] that overflows), and an epoch or VM
     index at or beyond {!max_csv_epochs} / {!max_csv_vms}. *)

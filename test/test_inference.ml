@@ -10,6 +10,7 @@ module Similarity = Cm_inference.Similarity
 module Louvain = Cm_inference.Louvain
 module Ami = Cm_inference.Ami
 module Infer = Cm_inference.Infer
+module Oracle = Inference_oracle
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -35,50 +36,45 @@ let test_tm_respects_structure () =
   let rng = Rng.create 2 in
   let tag = Cm_tag.Examples.storm ~s:3 ~b:10. in
   let tm = Tm.generate ~noise_prob:0. ~rng tag in
-  let m = Tm.mean_matrix tm in
   let has_edge a b =
     Tag.find_edge tag ~src:tm.truth.(a) ~dst:tm.truth.(b) <> None
   in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j v ->
-          if v > 0. then
-            Alcotest.(check bool)
-              (Printf.sprintf "traffic %d->%d follows an edge" i j)
-              true (has_edge i j))
-        row)
-    m
+  Csr.iter_nz (Tm.mean_csr tm) (fun i j _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "traffic %d->%d follows an edge" i j)
+        true (has_edge i j))
 
 let test_tm_total_volume () =
   (* Unit-mean wobble: expected epoch volume equals the TAG aggregate. *)
   let rng = Rng.create 3 in
   let tag = Tag.hose ~tier:"w" ~size:8 ~bw:100. () in
   let tm = Tm.generate ~epochs:40 ~imbalance:0.4 ~noise_prob:0. ~rng tag in
-  let m = Tm.mean_matrix tm in
-  let total = Array.fold_left (fun a r -> a +. Array.fold_left ( +. ) 0. r) 0. m in
+  let total = Csr.total (Tm.mean_csr tm) in
   let expected = Tag.aggregate_bandwidth tag in
   Alcotest.(check bool)
     (Printf.sprintf "volume %.0f within 25%% of %.0f" total expected)
     true
     (Float.abs (total -. expected) /. expected < 0.25)
 
-(* {1 Similarity} *)
+(* {1 Similarity}
+
+   The first three pin the dense oracle's own definitions; the rest
+   hold the production projection to it. *)
 
 let test_cosine_basics () =
-  check_float "parallel" 1. (Similarity.cosine [| 1.; 2. |] [| 2.; 4. |]);
-  check_float "orthogonal" 0. (Similarity.cosine [| 1.; 0. |] [| 0.; 1. |]);
-  check_float "zero vector" 0. (Similarity.cosine [| 0.; 0. |] [| 1.; 1. |])
+  check_float "parallel" 1. (Oracle.cosine [| 1.; 2. |] [| 2.; 4. |]);
+  check_float "orthogonal" 0. (Oracle.cosine [| 1.; 0. |] [| 0.; 1. |]);
+  check_float "zero vector" 0. (Oracle.cosine [| 0.; 0. |] [| 1.; 1. |])
 
 let test_angular_similarity_range () =
   check_float "parallel" 1.
-    (Similarity.angular_similarity [| 1.; 1. |] [| 2.; 2. |]);
+    (Oracle.angular_similarity [| 1.; 1. |] [| 2.; 2. |]);
   check_float "orthogonal" 0.
-    (Similarity.angular_similarity [| 1.; 0. |] [| 0.; 1. |])
+    (Oracle.angular_similarity [| 1.; 0. |] [| 0.; 1. |])
 
 let test_feature_vectors () =
   let m = [| [| 0.; 5. |]; [| 7.; 0. |] |] in
-  let f = Similarity.feature_vectors m in
+  let f = Oracle.feature_vectors m in
   Alcotest.(check (array (float 1e-9))) "vm0 = row0 ++ col0" [| 0.; 5.; 0.; 7. |] f.(0);
   Alcotest.(check (array (float 1e-9))) "vm1 = row1 ++ col1" [| 7.; 0.; 5.; 0. |] f.(1)
 
@@ -86,16 +82,14 @@ let test_projection_symmetric () =
   let rng = Rng.create 4 in
   let tag = Cm_tag.Examples.storm ~s:3 ~b:10. in
   let tm = Tm.generate ~rng tag in
-  let g = Similarity.projection_graph (Tm.mean_matrix tm) in
-  Array.iteri
-    (fun i row ->
-      check_float "zero diagonal" 0. row.(i);
-      Array.iteri
-        (fun j v -> check_float "symmetric" v g.(j).(i))
-        row)
-    g
+  let g = Similarity.projection_csr (Tm.mean_csr tm) in
+  Alcotest.(check bool) "symmetric" true (Csr.equal g (Csr.transpose g));
+  Csr.iter_nz g (fun i j _ ->
+      Alcotest.(check bool) "empty diagonal" true (i <> j))
 
 (* {1 Louvain} *)
+
+let graph_of_dense g = Louvain.of_csr (Csr.of_dense g)
 
 let two_cliques n =
   (* Two n-cliques joined by one weak edge. *)
@@ -111,7 +105,7 @@ let two_cliques n =
   g
 
 let test_louvain_two_cliques () =
-  let labels = Louvain.cluster (two_cliques 6) in
+  let labels = Louvain.cluster (graph_of_dense (two_cliques 6)) in
   Alcotest.(check int) "two communities" 2 (1 + Array.fold_left max 0 labels);
   for i = 1 to 5 do
     Alcotest.(check int) "clique 1 together" labels.(0) labels.(i)
@@ -122,14 +116,14 @@ let test_louvain_two_cliques () =
   Alcotest.(check bool) "cliques separated" true (labels.(0) <> labels.(6))
 
 let test_louvain_improves_modularity () =
-  let g = two_cliques 5 in
+  let g = graph_of_dense (two_cliques 5) in
   let labels = Louvain.cluster g in
   let trivial = Array.make 10 0 in
   Alcotest.(check bool) "better than one blob" true
     (Louvain.modularity g labels > Louvain.modularity g trivial)
 
 let test_louvain_resolution () =
-  let g = two_cliques 5 in
+  let g = graph_of_dense (two_cliques 5) in
   (* Low resolution merges everything; default separates the cliques. *)
   let coarse = Louvain.cluster ~resolution:0.0001 g in
   Alcotest.(check int) "gamma near 0 merges" 1 (1 + Array.fold_left max 0 coarse);
@@ -141,12 +135,12 @@ let test_louvain_resolution () =
     (1 + Array.fold_left max 0 fine > 2)
 
 let test_louvain_empty_graph () =
-  let g = Array.make_matrix 4 4 0. in
+  let g = graph_of_dense (Array.make_matrix 4 4 0.) in
   let labels = Louvain.cluster g in
   Alcotest.(check int) "labels length" 4 (Array.length labels)
 
 let test_modularity_perfect_split () =
-  let g = two_cliques 4 in
+  let g = graph_of_dense (two_cliques 4) in
   let labels = Array.init 8 (fun i -> i / 4) in
   Alcotest.(check bool) "positive modularity" true
     (Louvain.modularity g labels > 0.3)
@@ -172,22 +166,27 @@ let test_louvain_tie_break () =
   g.(0).(6) <- 1.;
   g.(6).(3) <- 1.;
   g.(3).(6) <- 1.;
-  let labels = Louvain.cluster g in
+  let labels = Louvain.cluster (graph_of_dense g) in
   Alcotest.(check (array int))
     "bridge joins the lower-id clique" [| 0; 0; 0; 1; 1; 1; 0 |] labels;
-  Alcotest.(check (array int))
-    "csr path agrees" labels
-    (Louvain.cluster_csr (Csr.of_dense g))
+  Alcotest.(check (array int)) "oracle agrees" labels (Oracle.cluster g)
 
-let random_graph ~seed ~n ~density =
-  (* Random sparse symmetric weighted graph (self-loops included now
-     and then — Louvain treats the diagonal as self-loop weight). *)
+(* Random symmetric weighted graph with self-loops now and then (Louvain
+   treats the diagonal as self-loop weight).  With [ties], weights come
+   from {0.5, 1, 2}, so equal gains, and hence the tie rule, decide
+   many moves; otherwise they are continuous, so sums round and their
+   order shows in the bits. *)
+let random_graph ?(ties = false) ~seed ~n ~density () =
   let rng = Rng.create seed in
+  let weight () =
+    if ties then [| 0.5; 1.; 2. |].(Rng.int rng 3)
+    else 0.05 +. (Rng.uniform rng *. 4.)
+  in
   let g = Array.make_matrix n n 0. in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
       if Rng.uniform rng < density then begin
-        let w = 0.05 +. (Rng.uniform rng *. 4.) in
+        let w = weight () in
         g.(i).(j) <- w;
         g.(j).(i) <- w
       end
@@ -195,55 +194,139 @@ let random_graph ~seed ~n ~density =
   done;
   g
 
-let prop_louvain_dense_csr_identical =
-  QCheck.Test.make ~name:"cluster and cluster_csr produce identical labels"
-    ~count:60
-    QCheck.(pair (int_range 2 24) (int_range 0 10_000))
+let prop_louvain_matches_oracle =
+  QCheck.Test.make ~name:"Louvain.cluster equals the dense oracle" ~count:200
+    QCheck.(triple (int_range 1 30) (int_range 0 10_000) bool)
+    (fun (n, seed, ties) ->
+      let g = random_graph ~ties ~seed ~n ~density:0.3 () in
+      Louvain.cluster (graph_of_dense g) = Oracle.cluster g)
+
+(* The coarse graph as a CSR matrix, degrees checked on the way. *)
+let coarse_csr (c : Louvain.graph) =
+  let m =
+    Csr.of_sorted_rows ~n:c.Louvain.n
+      (Array.init c.Louvain.n (fun a -> (c.Louvain.cols.(a), c.Louvain.vals.(a))))
+  in
+  if c.Louvain.k <> Csr.row_sums m then None else Some m
+
+let prop_aggregate_matches_oracle =
+  QCheck.Test.make ~name:"aggregate equals the dense oracle's, bit for bit"
+    ~count:200
+    QCheck.(triple (int_range 1 30) (int_range 0 10_000) (int_range 1 6))
+    (fun (n, seed, n_comm) ->
+      (* Few communities, so each coarse cell sums many terms. *)
+      let g = random_graph ~seed ~n ~density:0.5 () in
+      let rng = Rng.create (seed + 1) in
+      let labels =
+        Oracle.renumber (Array.init n (fun _ -> Rng.int rng (min n_comm n)))
+      in
+      match coarse_csr (Louvain.aggregate (graph_of_dense g) labels) with
+      | None -> false
+      | Some coarse -> Csr.equal coarse (Csr.of_dense (Oracle.aggregate g labels)))
+
+let prop_projection_matches_oracle =
+  QCheck.Test.make ~name:"projection_csr equals the dense oracle, bit for bit"
+    ~count:200
+    QCheck.(pair (int_range 1 30) (int_range 0 10_000))
     (fun (n, seed) ->
-      let g = random_graph ~seed ~n ~density:0.3 in
-      Louvain.cluster g = Louvain.cluster_csr (Csr.of_dense g))
+      (* A directed traffic matrix, diagonal included. *)
+      let rng = Rng.create seed in
+      let m =
+        Array.init n (fun _ ->
+            Array.init n (fun _ ->
+                if Rng.uniform rng < 0.25 then 0.05 +. (Rng.uniform rng *. 4.)
+                else 0.))
+      in
+      Csr.equal
+        (Similarity.projection_csr (Csr.of_dense m))
+        (Csr.of_dense (Oracle.projection_graph m)))
 
 let prop_louvain_modularity_nondecreasing =
-  (* Each accepted local-moving pass must not decrease the modularity
-     of the composed node-level labelling, across aggregation levels. *)
+  (* Each level of the cascade must not decrease the modularity of the
+     composed vertex-level labelling.  The levels come from the oracle,
+     which the property above holds bitwise equal to [Louvain.cluster]. *)
   QCheck.Test.make ~name:"modularity non-decreasing across levels" ~count:40
     QCheck.(pair (int_range 3 20) (int_range 0 10_000))
     (fun (n, seed) ->
-      let g = random_graph ~seed:(seed + 77) ~n ~density:0.35 in
+      let g = random_graph ~seed:(seed + 77) ~n ~density:0.35 () in
+      let graph = graph_of_dense g in
       let assignment = Array.init n Fun.id in
-      let q = ref (Louvain.modularity g assignment) in
+      let q = ref (Louvain.modularity graph assignment) in
       let ok = ref true in
       let rec loop adj =
-        let labels, improved = Louvain.one_level_csr adj in
-        if improved then begin
+        let labels = Oracle.local_moving ~resolution:1. adj in
+        let n_comm = 1 + Array.fold_left max 0 labels in
+        if n_comm < Array.length adj then begin
           for i = 0 to n - 1 do
             assignment.(i) <- labels.(assignment.(i))
           done;
-          let q' = Louvain.modularity g assignment in
+          let q' = Louvain.modularity graph assignment in
           if q' < !q -. 1e-9 then ok := false;
           q := q';
-          let n_comm = 1 + Array.fold_left max 0 labels in
-          if n_comm < adj.Csr.n then loop (Louvain.aggregate_csr adj labels)
+          loop (Oracle.aggregate adj labels)
         end
       in
-      loop (Csr.of_dense g);
+      loop g;
       !ok)
+
+(* Words [f ()] allocates in the minor heap and directly in the major
+   heap (large arrays skip the minor heap), net of the probe's own
+   cost — the measure test_util's intsort test uses. *)
+let words_allocated f =
+  let probe f =
+    let minor0, promoted0, major0 = Gc.counters () in
+    let r = f () in
+    let minor1, promoted1, major1 = Gc.counters () in
+    (r, minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0)))
+  in
+  let _, base = probe ignore in
+  let r, words = probe f in
+  (r, words -. base)
+
+(* Vertex i is tied to [i lxor 1] at weight 1 and to i ± 2 at 0.001, so
+   the first level halves the vertex count.  A flat n_comm² aggregation
+   buffer allocated 22.5M words here at 8,192 vertices. *)
+let ladder n =
+  Csr.of_sorted_rows ~n
+    (Array.init n (fun i ->
+         let cells =
+           List.filter
+             (fun (j, _) -> j >= 0 && j < n)
+             [ (i - 2, 0.001); (i lxor 1, 1.); (i + 2, 0.001) ]
+         in
+         (Array.of_list (List.map fst cells), Array.of_list (List.map snd cells))))
+
+let test_aggregation_memory_linear () =
+  let n = 8_192 in
+  let m = ladder n in
+  let graph = Louvain.of_csr m in
+  let labels, words = words_allocated (fun () -> Louvain.cluster graph) in
+  let bound = 32. *. float_of_int (n + Csr.nnz m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" words bound)
+    true (words <= bound);
+  Alcotest.(check bool) "first level merged pairs" true
+    (Array.for_all (fun i -> labels.(i) = labels.(i lxor 1)) (Array.init n Fun.id));
+  (* The dense oracle needs n² floats, so it checks the same ladder at
+     2,048 vertices. *)
+  let small = ladder 2_048 in
+  Alcotest.(check (array int)) "oracle labels at 2,048"
+    (Oracle.cluster (Csr.to_dense small))
+    (Louvain.cluster (Louvain.of_csr small))
 
 let test_projection_csr_matches_dense () =
   let rng = Rng.create 21 in
   let tag = Cm_tag.Examples.three_tier ~b1:80. ~b2:30. ~b3:10. () in
   let tm = Tm.generate ~noise_prob:0.1 ~rng tag in
-  let dense = Similarity.projection_graph (Tm.mean_matrix tm) in
-  let sparse = Similarity.projection_csr (Tm.mean_csr tm) in
+  let m = Tm.mean_csr tm in
+  let dense = Oracle.projection_graph (Csr.to_dense m) in
   Alcotest.(check bool) "bit-identical projection" true
-    (Csr.equal (Csr.of_dense dense) sparse)
+    (Csr.equal (Csr.of_dense dense) (Similarity.projection_csr m))
 
 let test_mean_csr_matches_dense () =
   let rng = Rng.create 22 in
   let tag = Cm_tag.Examples.storm ~s:4 ~b:25. in
   let tm = Tm.generate ~epochs:5 ~noise_prob:0.15 ~rng tag in
-  Alcotest.(check bool) "mean_matrix is the dense view of mean_csr" true
-    (Csr.to_dense (Tm.mean_csr tm) = Tm.mean_matrix tm);
   (* Against a from-scratch dense mean with per-epoch division (the old
      code): agreement to tolerance, since the sparse path divides
      once. *)
@@ -254,7 +337,7 @@ let test_mean_csr_matches_dense () =
     (fun e ->
       Csr.iter_nz e (fun i j v -> dense.(i).(j) <- dense.(i).(j) +. (v /. k)))
     tm.epochs;
-  let m = Tm.mean_matrix tm in
+  let m = Csr.to_dense (Tm.mean_csr tm) in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       Alcotest.(check (float 1e-9)) "cell" dense.(i).(j) m.(i).(j)
@@ -469,6 +552,25 @@ let test_csv_non_finite () =
           Alcotest.(check string) ("message for " ^ rate) frag m)
     [ "inf"; "-inf"; "nan"; "1e999" ]
 
+let test_csv_header () =
+  (* Line 1 must be the header: before the check, a header-less file
+     silently lost its first cell (here the 0->1 traffic). *)
+  List.iter
+    (fun (what, csv) ->
+      match Tm.of_csv csv with
+      | Ok _ -> Alcotest.failf "%s must error" what
+      | Error m ->
+          Alcotest.(check string) what
+            "line 1: expected the header epoch,src,dst,rate" m)
+    [
+      ("no header", "0,0,1,5.0\n0,2,3,7.0\n");
+      ("garbage header", "garbage\n0,0,1,5.0\n");
+      ("empty input", "");
+    ];
+  match Tm.of_csv "  epoch,src,dst,rate \r\n0,0,1,5.0\n" with
+  | Ok tm -> check_float "first cell kept" 5. (Csr.get tm.Tm.epochs.(0) 0 1)
+  | Error m -> Alcotest.failf "padded header rejected: %s" m
+
 let test_csv_duplicate_cell () =
   (* A repeated (epoch,src,dst) used to silently keep the last line. *)
   match Tm.of_csv "epoch,src,dst,rate\n0,0,1,5\n0,1,0,2\n0,0,1,7\n" with
@@ -619,7 +721,7 @@ let prop_louvain_labels_compact =
   QCheck.Test.make ~name:"louvain labels are 0..k-1" ~count:50
     QCheck.(int_range 2 6)
     (fun n ->
-      let labels = Louvain.cluster (two_cliques n) in
+      let labels = Louvain.cluster (graph_of_dense (two_cliques n)) in
       let k = 1 + Array.fold_left max 0 labels in
       let seen = Array.make k false in
       Array.iter (fun l -> seen.(l) <- true) labels;
@@ -656,6 +758,8 @@ let () =
           Alcotest.test_case "empty graph" `Quick test_louvain_empty_graph;
           Alcotest.test_case "modularity value" `Quick test_modularity_perfect_split;
           Alcotest.test_case "tie-break regression" `Quick test_louvain_tie_break;
+          Alcotest.test_case "aggregation memory is linear" `Quick
+            test_aggregation_memory_linear;
         ] );
       ( "ami",
         [
@@ -684,6 +788,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_csv_roundtrip;
           Alcotest.test_case "errors" `Quick test_csv_errors;
+          Alcotest.test_case "header required" `Quick test_csv_header;
           Alcotest.test_case "duplicate cell" `Quick test_csv_duplicate_cell;
           Alcotest.test_case "non-finite rate" `Quick test_csv_non_finite;
           Alcotest.test_case "huge index" `Quick test_csv_huge_index;
@@ -703,7 +808,9 @@ let () =
             prop_ami_bounded;
             prop_csv_roundtrip_cell_identical;
             prop_louvain_labels_compact;
-            prop_louvain_dense_csr_identical;
+            prop_louvain_matches_oracle;
+            prop_aggregate_matches_oracle;
+            prop_projection_matches_oracle;
             prop_louvain_modularity_nondecreasing;
           ] );
     ]

@@ -101,66 +101,49 @@ let test_window_eviction_dirties_rows () =
 
 (* {1 Seeded Louvain refinement} *)
 
-(* Degrees, their sum and per-vertex adjacency rows of a CSR graph. *)
-let graph_env (graph : Csr.t) =
-  let k = Csr.row_sums graph in
-  let m2 = Array.fold_left ( +. ) 0. k in
-  let rp = graph.Csr.row_ptr in
-  let slice a i = Array.sub a rp.(i) (rp.(i + 1) - rp.(i)) in
-  let cols = Array.init graph.Csr.n (slice graph.Csr.col_idx) in
-  let vals = Array.init graph.Csr.n (slice graph.Csr.values) in
-  (k, m2, cols, vals)
-
 let test_refine_seeded_repairs_perturbation () =
   let rng = Rng.create 11 in
   let tag = pipeline_tag ~tier:8 () in
   let tm = Tm.generate ~epochs:4 ~noise_prob:0. ~rng tag in
-  let graph = Similarity.projection_csr (Tm.mean_csr tm) in
-  let cold = Louvain.cluster_csr graph in
+  let graph = Louvain.of_csr (Similarity.projection_csr (Tm.mean_csr tm)) in
+  let cold = Louvain.cluster graph in
   let n = Array.length cold in
-  let k, m2, cols, vals = graph_env graph in
   (* Mislabel a few vertices, then refine with just those as frontier. *)
   let seed = Array.copy cold in
   let moved_vertices = [ 0; n / 2; n - 1 ] in
   List.iter
     (fun v -> seed.(v) <- (seed.(v) + 1) mod (1 + Array.fold_left max 0 cold))
     moved_vertices;
-  let raw, moved =
-    Louvain.refine_seeded ~n ~k ~m2 ~cols ~vals ~seed
-      ~frontier:(Array.of_list moved_vertices) ()
+  let refined, moved =
+    Louvain.refine_seeded graph ~seed ~frontier:(Array.of_list moved_vertices)
   in
   Alcotest.(check bool) "some vertices moved" true (moved > 0);
-  let refined = Louvain.renumber raw in
   Alcotest.(check (array int)) "cold labelling recovered" cold refined
 
 let test_refine_seeded_stable_on_optimum () =
   let rng = Rng.create 12 in
   let tag = pipeline_tag ~tier:6 () in
   let tm = Tm.generate ~epochs:4 ~noise_prob:0. ~rng tag in
-  let graph = Similarity.projection_csr (Tm.mean_csr tm) in
-  let cold = Louvain.cluster_csr graph in
+  let graph = Louvain.of_csr (Similarity.projection_csr (Tm.mean_csr tm)) in
+  let cold = Louvain.cluster graph in
   let n = Array.length cold in
-  let k, m2, cols, vals = graph_env graph in
   let frontier = Array.init n Fun.id in
-  let raw, moved =
-    Louvain.refine_seeded ~n ~k ~m2 ~cols ~vals ~seed:cold ~frontier ()
-  in
+  let labels, moved = Louvain.refine_seeded graph ~seed:cold ~frontier in
   Alcotest.(check int) "no moves from the optimum" 0 moved;
-  Alcotest.(check (array int)) "labels untouched" cold (Louvain.renumber raw)
+  Alcotest.(check (array int)) "labels untouched" cold labels
 
-let test_modularity_graph_matches_csr () =
+let test_modularity_matches_oracle () =
   let rng = Rng.create 13 in
   let tag = pipeline_tag ~tier:6 () in
   let tm = Tm.generate ~epochs:3 ~rng tag in
   let graph = Similarity.projection_csr (Tm.mean_csr tm) in
-  let labels = Louvain.cluster_csr graph in
-  let k, m2, cols, vals = graph_env graph in
-  let q_csr = Louvain.modularity_csr graph labels in
-  let q_graph =
-    Louvain.modularity_graph ~n:(Array.length labels) ~k ~m2 ~cols ~vals
-      labels
-  in
-  Alcotest.(check (float 1e-9)) "same modularity" q_csr q_graph
+  let rows = Louvain.of_csr graph in
+  let labels = Louvain.cluster rows in
+  (* The pair-by-pair dense sum agrees to float tolerance only. *)
+  Alcotest.(check (float 1e-9))
+    "same modularity"
+    (Inference_oracle.modularity (Csr.to_dense graph) labels)
+    (Louvain.modularity rows labels)
 
 (* {1 Drift generator} *)
 
@@ -572,7 +555,7 @@ let () =
           Alcotest.test_case "stable on optimum" `Quick
             test_refine_seeded_stable_on_optimum;
           Alcotest.test_case "modularity accessor" `Quick
-            test_modularity_graph_matches_csr;
+            test_modularity_matches_oracle;
         ] );
       ( "drift-gen",
         [
