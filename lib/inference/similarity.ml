@@ -22,22 +22,11 @@ let projection_csr (m : Csr.t) =
   done;
   (* All dot products against VMs j > i at once, via the inverted
      index: the owners of feature dim k < n are row k of [mt], the
-     owners of dim n + r are row r of [m].  Walking i's support in
-     ascending dim order lands each pair's common terms on the flat
-     accumulator in ascending dim order — the dense loop's order —
-     at a cost of one multiply-add per support coincidence instead of
-     O(2n) per pair.  [acc.(j) = 0.] doubles as "untouched" (stored
-     values are positive, so partial dots are too). *)
-  (* One flat accumulator frame reused across all rows (the Louvain
-     local_moving idiom): [acc]/[touched] for the scatter, and shared
-     column/value staging buffers so the only per-row allocations left
-     are the final right-sized [Array.sub]s handed to [of_upper].
-     [cols_buf] is free while [touched] is sorted, so it doubles as the
-     sort's merge scratch. *)
-  let acc = Array.make n 0. in
-  let touched = Array.make n 0 in
-  let cols_buf = Array.make n 0 in
-  let svals_buf = Array.make n 0. in
+     owners of dim n + r are row r of [m], and [Scatter] lands each
+     pair's common terms in ascending dim order.  One frame serves all
+     rows, so the only per-row allocations are the right-sized copies
+     handed to [of_upper]. *)
+  let fr = Scatter.create n in
   let upper = Array.make n ([||], [||]) in
   let mrp = m.Csr.row_ptr and mci = m.Csr.col_idx and mv = m.Csr.values in
   let trp = mt.Csr.row_ptr and tci = mt.Csr.col_idx and tv = mt.Csr.values in
@@ -53,47 +42,16 @@ let projection_csr (m : Csr.t) =
     !lo
   in
   for i = 0 to n - 1 do
-    let nt = ref 0 in
     for p = mrp.(i) to mrp.(i + 1) - 1 do
-      let fik = mv.(p) and k = mci.(p) in
-      for q = past tci trp.(k) trp.(k + 1) i to trp.(k + 1) - 1 do
-        let j = tci.(q) in
-        if acc.(j) = 0. then begin
-          touched.(!nt) <- j;
-          incr nt
-        end;
-        acc.(j) <- acc.(j) +. (fik *. tv.(q))
-      done
+      let k = mci.(p) in
+      let hi = trp.(k + 1) in
+      Scatter.add fr ~skip:i mv p tci tv (past tci trp.(k) hi i) hi
     done;
     for p = trp.(i) to trp.(i + 1) - 1 do
-      let fir = tv.(p) and r = tci.(p) in
-      for q = past mci mrp.(r) mrp.(r + 1) i to mrp.(r + 1) - 1 do
-        let j = mci.(q) in
-        if acc.(j) = 0. then begin
-          touched.(!nt) <- j;
-          incr nt
-        end;
-        acc.(j) <- acc.(j) +. (fir *. mv.(q))
-      done
+      let r = tci.(p) in
+      let hi = mrp.(r + 1) in
+      Scatter.add fr ~skip:i tv p mci mv (past mci mrp.(r) hi i) hi
     done;
-    let ni = norms.(i) in
-    Cm_util.Intsort.sort_prefix ~tmp:cols_buf touched !nt;
-    let e = ref 0 in
-    for p = 0 to !nt - 1 do
-      let j = touched.(p) in
-      let dot = acc.(j) in
-      acc.(j) <- 0.;
-      let c =
-        if ni = 0. || norms.(j) = 0. then 0.
-        else Float.max 0. (Float.min 1. (dot /. sqrt (ni *. norms.(j))))
-      in
-      let s = Float.max 0. (1. -. (2. *. acos c /. Float.pi)) in
-      if s > 0. then begin
-        cols_buf.(!e) <- j;
-        svals_buf.(!e) <- s;
-        incr e
-      end
-    done;
-    upper.(i) <- (Array.sub cols_buf 0 !e, Array.sub svals_buf 0 !e)
+    upper.(i) <- Scatter.take fr (Scatter.emit_angular fr ~norms i)
   done;
   Csr.of_upper ~n upper

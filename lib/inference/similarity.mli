@@ -10,8 +10,10 @@ val projection_csr : Cm_util.Csr.t -> Cm_util.Csr.t
 (** Sparse, symmetric projection graph with an empty diagonal.  Dot
     products run through an inverted index over each VM's sparse
     feature support (row nonzeros, then column nonzeros offset by n),
-    one multiply-add per support coincidence instead of O(2n) per pair.
-    Every sum visits its nonzero terms in ascending feature-dimension
+    one multiply-add per support coincidence instead of O(2n) per pair,
+    through the {!Scatter} kernel that {!Stream} shares.  Products that
+    underflow to [0.] are harmless (a pair whose dot is [0.] gets no
+    edge).  Every sum visits its nonzero terms in ascending feature-dimension
     order, the order of a dense pair-by-pair loop, so the edge weights
     are bit-identical to that loop's; the test suite's dense oracle
     checks this. *)

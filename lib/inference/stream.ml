@@ -1,7 +1,6 @@
 module Csr = Cm_util.Csr
 module Window = Cm_util.Csr.Window
 module Par = Cm_util.Par
-module Intsort = Cm_util.Intsort
 module Metrics = Cm_obs.Metrics
 module Series = Cm_obs.Series
 module Span = Cm_obs.Span
@@ -51,24 +50,6 @@ type stats = {
   drift : event option;
 }
 
-(* Per-domain similarity-row scratch: the scatter accumulator and its
-   touched list, plus column/value staging buffers ([cbuf] doubles as
-   the sort's merge scratch), so a row allocates only its result. *)
-type scratch = {
-  acc : float array;  (* [0.] = untouched *)
-  touched : int array;
-  cbuf : int array;
-  vbuf : float array;
-}
-
-let make_scratch n =
-  {
-    acc = Array.make n 0.;
-    touched = Array.make n 0;
-    cbuf = Array.make n 0;
-    vbuf = Array.make n 0.;
-  }
-
 type t = {
   cfg : config;
   series : string option;  (* Cm_obs series name prefix, when sampling *)
@@ -98,7 +79,6 @@ type t = {
   mutable labels : int array;  (* canonical 0..ncomp-1 *)
   mutable ncomp : int;
   mutable sizes : int array;
-  mutable members : int array array;  (* per component, ascending *)
   mutable q_ref : float;  (* best modularity since the last full pass *)
   (* Guarantee state: per ring slot the flat ncomp² aggregate, plus the
      running peak and the last negotiated snapshot. *)
@@ -109,9 +89,9 @@ type t = {
   mutable tick : int;  (* epochs ingested *)
   mutable events : event list;
   mutable last_full : bool;  (* last tick ran the full pipeline or fell back *)
-  (* Scratch.  [scr.(0)] serves the single-threaded paths; slice [s] of
-     a parallel similarity pass uses [scr.(s)]. *)
-  mutable scr : scratch array;
+  (* Scatter frames.  [scr.(0)] serves the single-threaded paths; slice
+     [s] of a parallel similarity pass uses [scr.(s)]. *)
+  mutable scr : Scatter.t array;
   mark : bool array;
   mark2 : bool array;
   (* Pending structural patches (an edge appears or disappears) towards
@@ -170,7 +150,6 @@ let create ?(config = default_config) ?series_prefix ~n () =
     labels = [||];
     ncomp = 0;
     sizes = [||];
-    members = [||];
     q_ref = neg_infinity;
     slot_aggs = Array.make config.window [||];
     peaks = [||];
@@ -179,7 +158,7 @@ let create ?(config = default_config) ?series_prefix ~n () =
     tick = 0;
     events = [];
     last_full = false;
-    scr = [| make_scratch n |];
+    scr = [| Scatter.create n |];
     mark = Array.make n false;
     mark2 = Array.make n false;
     pv = Array.make n 0;
@@ -289,15 +268,7 @@ let set_labels t labels =
   t.ncomp <- nc;
   let sizes = Array.make nc 0 in
   Array.iter (fun l -> sizes.(l) <- sizes.(l) + 1) labels;
-  t.sizes <- sizes;
-  let cursors = Array.make nc 0 in
-  let members = Array.init nc (fun c -> Array.make sizes.(c) 0) in
-  Array.iteri
-    (fun i l ->
-      members.(l).(cursors.(l)) <- i;
-      cursors.(l) <- cursors.(l) + 1)
-    labels;
-  t.members <- members
+  t.sizes <- sizes
 
 let ensure_agg t size =
   for s = 0 to t.cfg.window - 1 do
@@ -341,64 +312,13 @@ let rebuild_guarantees t =
   done;
   refresh_peaks t
 
-(* Incremental guarantee maintenance: the incoming epoch's slot is
-   re-aggregated in full (O(nnz) of one epoch), and in the older slots
-   only the component pairs touching a rate-dirty component are redone,
-   by scanning exactly the rows that can contribute to them — members
-   of the touched components plus senders into them (the mean's column
-   support covers every window epoch's, since the mean is their sum).
-   The restricted scan visits each contributing cell in the same
-   row-major order as the full reference fold, so surviving values are
-   bit-identical to [Infer.component_peaks]. *)
-let update_guarantees_partial t (epoch : Csr.t) dirty =
-  let nc = t.ncomp and labels = t.labels in
+(* Incremental guarantee maintenance, for ticks that keep the labels:
+   only the incoming epoch's slot is re-aggregated (O(nnz) of one
+   epoch).  Every older slot was aggregated under these same labels —
+   a tick that changes them rebuilds all slots — and its epoch has not
+   changed since, so it already holds [Infer.component_peaks]'s bits. *)
+let update_guarantees_partial t (epoch : Csr.t) =
   aggregate_into t t.slot_aggs.((t.tick - 1) mod t.cfg.window) epoch;
-  let in_s = Array.make nc false in
-  for d = 0 to Array.length dirty - 1 do
-    in_s.(labels.(dirty.(d))) <- true
-  done;
-  if Array.length dirty > 0 then begin
-    let mark = t.mark in
-    for c = 0 to nc - 1 do
-      if in_s.(c) then begin
-        let ms = t.members.(c) in
-        for q = 0 to Array.length ms - 1 do
-          let m = ms.(q) in
-          mark.(m) <- true;
-          let senders = t.col_rows.(m) in
-          for x = 0 to Array.length senders - 1 do
-            mark.(senders.(x)) <- true
-          done
-        done
-      end
-    done;
-    let len = Window.length t.win in
-    let base = Window.pushes t.win - len in
-    for i = 0 to len - 2 do
-      let agg = t.slot_aggs.((base + i) mod t.cfg.window) in
-      for a = 0 to nc - 1 do
-        let row = a * nc in
-        for b = 0 to nc - 1 do
-          if in_s.(a) || in_s.(b) then agg.(row + b) <- 0.
-        done
-      done;
-      let ep = Window.epoch t.win i in
-      let rp = ep.Csr.row_ptr and ci = ep.Csr.col_idx and v = ep.Csr.values in
-      for r = 0 to t.n - 1 do
-        if mark.(r) then begin
-          let a = labels.(r) in
-          for p = rp.(r) to rp.(r + 1) - 1 do
-            let b = labels.(ci.(p)) in
-            if in_s.(a) || in_s.(b) then begin
-              let idx = (a * nc) + b in
-              agg.(idx) <- agg.(idx) +. v.(p)
-            end
-          done
-        end
-      done
-    done;
-    Array.fill mark 0 t.n false
-  end;
   refresh_peaks t
 
 (* ------------------------------------------------------------------ *)
@@ -418,7 +338,7 @@ let par_rows t ?domains f ids =
     if Array.length t.scr < domains then
       t.scr <-
         Array.init domains (fun s ->
-            if s < Array.length t.scr then t.scr.(s) else make_scratch t.n);
+            if s < Array.length t.scr then t.scr.(s) else Scatter.create t.n);
     let chunk = (nd + domains - 1) / domains in
     let slices =
       List.init domains (fun s -> (s, s * chunk, min nd ((s + 1) * chunk)))
@@ -437,119 +357,62 @@ let par_rows t ?domains f ids =
 
 (* [u]'s row part against the current mean mirrors: scatter its row
    dims ascending over their owners (only owners [j > u] when [above]),
-   then stage the positive partial dots, ascending partner, in
-   [scr.cbuf]/[scr.vbuf].  Returns the staged count.  The partial dot
+   then stage the positive partial dots, ascending partner, in the
+   frame's staging arrays.  Returns the staged count.  The partial dot
    of a pair is the same bits from either side: both walk the common
    row dims in ascending order and IEEE multiplication commutes. *)
-let stage_row_part t scr u ~above =
-  let acc = scr.acc and touched = scr.touched in
-  let nt = ref 0 in
+let stage_row_part t fr u ~above =
   let rc = t.row_cols.(u) and rv = t.row_vals.(u) in
   for p = 0 to Array.length rc - 1 do
-    let k = rc.(p) and f = rv.(p) in
-    let oc = t.col_rows.(k) and ov = t.col_vals.(k) in
-    for q = (if above then past oc u else 0) to Array.length oc - 1 do
-      let j = oc.(q) in
-      if j <> u then begin
-        if acc.(j) = 0. then begin
-          touched.(!nt) <- j;
-          incr nt
-        end;
-        acc.(j) <- acc.(j) +. (f *. ov.(q))
-      end
-    done
+    let oc = t.col_rows.(rc.(p)) in
+    Scatter.add fr ~skip:u rv p oc t.col_vals.(rc.(p))
+      (if above then past oc u else 0)
+      (Array.length oc)
   done;
-  Intsort.sort_prefix ~tmp:scr.cbuf touched !nt;
-  let cols = scr.cbuf and vals = scr.vbuf in
-  let e = ref 0 in
-  for p = 0 to !nt - 1 do
-    let j = touched.(p) in
-    let x = acc.(j) in
-    acc.(j) <- 0.;
-    if x > 0. then begin
-      cols.(!e) <- j;
-      vals.(!e) <- x;
-      incr e
-    end
-  done;
-  !e
+  Scatter.emit_positive fr
 
 (* [u]'s upper row part (partners [j > u]), for the rebuild. *)
-let upper_row_part t scr u =
-  let e = stage_row_part t scr u ~above:true in
-  (Array.sub scr.cbuf 0 e, Array.sub scr.vbuf 0 e)
+let upper_row_part t fr u =
+  Scatter.take fr (stage_row_part t fr u ~above:true)
 
 (* [u]'s fresh row part.  When the partner set is unchanged the values
    overwrite [u]'s cached array in place and the cached arrays come back
    (physically); otherwise new arrays do.  Writes only [u]'s own cache
    row, so slices may run it in parallel. *)
-let fresh_row_part t scr u =
-  let e = stage_row_part t scr u ~above:false in
+let fresh_row_part t fr u =
+  let e = stage_row_part t fr u ~above:false in
   let oc = t.rp_cols.(u) in
   let same = ref (Array.length oc = e) in
   let p = ref 0 in
   while !same && !p < e do
-    if oc.(!p) <> scr.cbuf.(!p) then same := false;
+    if oc.(!p) <> (Scatter.cols fr).(!p) then same := false;
     incr p
   done;
   if !same then begin
-    Array.blit scr.vbuf 0 t.rp_vals.(u) 0 e;
+    Array.blit (Scatter.vals fr) 0 t.rp_vals.(u) 0 e;
     (oc, t.rp_vals.(u))
   end
-  else (Array.sub scr.cbuf 0 e, Array.sub scr.vbuf 0 e)
+  else Scatter.take fr e
 
 (* Recompute VM [u]'s full projection row against the current mean
    mirrors via the inverted index, in [projection_csr]'s accumulation
    order: the row dims first, whose partial dots the row-part cache
-   already holds (so the accumulator starts from them), then the column
-   dims ascending.  For any pair this sums the same common terms in the
-   same order as [Similarity.projection_csr] (multiply operand order
-   differs per side, but IEEE multiplication commutes bitwise), so edge
-   values are exact. *)
-let sim_row t scr u =
-  let acc = scr.acc and touched = scr.touched in
-  let pc = t.rp_cols.(u) and pv = t.rp_vals.(u) in
-  let nt = ref (Array.length pc) in
-  for p = 0 to !nt - 1 do
-    let j = pc.(p) in
-    touched.(p) <- j;
-    acc.(j) <- pv.(p)
-  done;
+   already holds (so the accumulator starts from them: [1. *. x = x]),
+   then the column dims ascending.  For any pair this sums the same
+   common terms in the same order as [Similarity.projection_csr]
+   (multiply operand order differs per side, but IEEE multiplication
+   commutes bitwise), so edge values are exact. *)
+let one = [| 1. |]
+
+let sim_row t fr u =
+  let pc = t.rp_cols.(u) in
+  Scatter.add fr ~skip:u one 0 pc t.rp_vals.(u) 0 (Array.length pc);
   let cc = t.col_rows.(u) and cv = t.col_vals.(u) in
   for p = 0 to Array.length cc - 1 do
-    let r = cc.(p) and f = cv.(p) in
-    let oc = t.row_cols.(r) and ov = t.row_vals.(r) in
-    for q = 0 to Array.length oc - 1 do
-      let j = oc.(q) in
-      if j <> u then begin
-        if acc.(j) = 0. then begin
-          touched.(!nt) <- j;
-          incr nt
-        end;
-        acc.(j) <- acc.(j) +. (f *. ov.(q))
-      end
-    done
+    let oc = t.row_cols.(cc.(p)) in
+    Scatter.add fr ~skip:u cv p oc t.row_vals.(cc.(p)) 0 (Array.length oc)
   done;
-  Intsort.sort_prefix ~tmp:scr.cbuf touched !nt;
-  let nu = t.norms.(u) in
-  let cols = scr.cbuf and svals = scr.vbuf in
-  let e = ref 0 in
-  for p = 0 to !nt - 1 do
-    let j = touched.(p) in
-    let dot = acc.(j) in
-    acc.(j) <- 0.;
-    let c =
-      if nu = 0. || t.norms.(j) = 0. then 0.
-      else Float.max 0. (Float.min 1. (dot /. sqrt (nu *. t.norms.(j))))
-    in
-    let s = Float.max 0. (1. -. (2. *. acos c /. Float.pi)) in
-    if s > 0. then begin
-      cols.(!e) <- j;
-      svals.(!e) <- s;
-      incr e
-    end
-  done;
-  (Array.sub cols 0 !e, Array.sub svals 0 !e)
+  Scatter.take fr (Scatter.emit_angular fr ~norms:t.norms u)
 
 let grow_patches t =
   let grow a fill =
@@ -600,7 +463,7 @@ let reweigh_edge t v u (src : float array) q =
 let apply_patches t v lo hi =
   let oc = t.g.Louvain.cols.(v) and ov = t.g.Louvain.vals.(v) in
   let olen = Array.length oc in
-  let cols = t.scr.(0).cbuf and vals = t.scr.(0).vbuf in
+  let cols = Scatter.cols t.scr.(0) and vals = Scatter.vals t.scr.(0) in
   let out = ref 0 in
   let p = ref 0 in
   for q = lo to hi - 1 do
@@ -1089,7 +952,7 @@ let push ?domains t epoch =
             let q = Louvain.modularity ~resolution t.g t.labels in
             t.q_ref <- q;
             if t.labels = prev_labels && not labels_changed then
-              update_guarantees_partial t epoch dirty
+              update_guarantees_partial t epoch
             else rebuild_guarantees t;
             (false, true, Array.length rows, Array.length dirty,
              Array.length frontier, moved, q)
@@ -1103,7 +966,7 @@ let push ?domains t epoch =
                  renumbering); only rate-dirty components move. *)
               if labels_changed then set_labels t prev_labels;
               t.labels <- prev_labels;
-              update_guarantees_partial t epoch dirty
+              update_guarantees_partial t epoch
             end;
             (false, false, Array.length rows, Array.length dirty,
              Array.length frontier, moved, q)

@@ -9,8 +9,9 @@
     - delta similarity: {!Similarity.projection_csr} rows are
       recomputed only for VMs whose windowed feature vector changed (a
       dirty row, or a column owned by one), via an inverted index over
-      mutable mean mirrors — recomputed edge values are bit-identical
-      to the batch projection.  Each VM's partial dots over its row
+      mutable mean mirrors, through the same {!Scatter} kernel as the
+      batch projection — recomputed edge values are bit-identical to
+      it.  Each VM's partial dots over its row
       dims are cached, so a VM whose own row did not change scatters
       only its column dims; the cache is refreshed for changed rows and
       rebuilt on the first incremental tick after a full one.  Changed
@@ -24,10 +25,11 @@
       [fallback_bound] below the best value seen since the last full
       pass (the incremental graph is exact, so the fallback lands on
       precisely the cold labelling);
-    - guarantee re-derivation: per ring-slot flat component aggregates;
-      the incoming epoch is re-aggregated in full and older slots only
-      for component pairs touching a dirty component, bit-identical to
-      {!Infer.component_peaks};
+    - guarantee re-derivation: per ring-slot flat component aggregates,
+      bit-identical to {!Infer.component_peaks}; a tick that changes
+      the labels re-aggregates every slot, one that keeps them only the
+      incoming epoch's (the older slots already hold these labels'
+      aggregates);
     - drift detection: per-tick label churn / AMI-vs-previous series
       ([infer.stream.*] in {!Cm_obs}) and {!event}s raised when churn,
       the relative guarantee shift against the last negotiated

@@ -364,30 +364,44 @@ let mean_csr t =
   let k = float_of_int (Array.length t.epochs) in
   (* Row-major accumulation over stored entries only; per cell the
      epochs contribute in ascending order, then one division at the
-     end (not one per epoch). *)
-  let acc = Array.make (max n 1) 0. in
-  let rows =
-    Array.init n (fun i ->
-        let touched = ref [] in
-        Array.iter
-          (fun epoch ->
-            let rp = epoch.Csr.row_ptr
-            and ci = epoch.Csr.col_idx
-            and v = epoch.Csr.values in
-            for p = rp.(i) to rp.(i + 1) - 1 do
-              let j = ci.(p) in
-              if acc.(j) = 0. then touched := j :: !touched;
-              acc.(j) <- acc.(j) +. v.(p)
-            done)
-          t.epochs;
-        List.rev_map
-          (fun j ->
-            let v = acc.(j) /. k in
-            acc.(j) <- 0.;
-            (j, v))
-          !touched)
-  in
-  Csr.of_row_lists ~n rows
+     end (not one per epoch).  Stored values are positive, so a running
+     sum is too and [0.] marks an untouched cell.  The rows go straight
+     into CSR arrays sized for the epochs' entries together. *)
+  let cap = Array.fold_left (fun s e -> s + Csr.nnz e) 0 t.epochs in
+  let acc = Array.make n 0. and touched = Array.make n 0 in
+  let tmp = Array.make n 0 in
+  let row_ptr = Array.make (n + 1) 0 in
+  let col_idx = Array.make cap 0 and values = Array.make cap 0. in
+  let nnz = ref 0 in
+  for i = 0 to n - 1 do
+    let nt = ref 0 in
+    for e = 0 to Array.length t.epochs - 1 do
+      let epoch = t.epochs.(e) in
+      let ci = epoch.Csr.col_idx and v = epoch.Csr.values in
+      for p = epoch.Csr.row_ptr.(i) to epoch.Csr.row_ptr.(i + 1) - 1 do
+        let j = ci.(p) in
+        if acc.(j) = 0. then begin
+          touched.(!nt) <- j;
+          incr nt
+        end;
+        acc.(j) <- acc.(j) +. v.(p)
+      done
+    done;
+    Cm_util.Intsort.sort_prefix ~tmp touched !nt;
+    for p = 0 to !nt - 1 do
+      let j = touched.(p) in
+      let v = acc.(j) /. k in
+      acc.(j) <- 0.;
+      if v > 0. then begin
+        col_idx.(!nnz) <- j;
+        values.(!nnz) <- v;
+        incr nnz
+      end
+    done;
+    row_ptr.(i + 1) <- !nnz
+  done;
+  Csr.of_arrays ~n ~row_ptr ~col_idx:(Array.sub col_idx 0 !nnz)
+    ~values:(Array.sub values 0 !nnz)
 
 let csv_header = "epoch,src,dst,rate"
 

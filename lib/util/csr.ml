@@ -180,6 +180,25 @@ let of_sorted_rows ~n rows =
   done;
   { n; row_ptr; col_idx; values }
 
+let of_arrays ~n ~row_ptr ~col_idx ~values =
+  let fail what = invalid_arg ("Csr.of_arrays: " ^ what) in
+  if n < 0 || Array.length row_ptr <> n + 1 || row_ptr.(0) <> 0 then
+    fail "row_ptr length or origin";
+  let k = row_ptr.(n) in
+  if Array.length col_idx <> k || Array.length values <> k then
+    fail "entry count";
+  for i = 0 to n - 1 do
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    if hi < lo || hi > k then fail "row_ptr must be non-decreasing";
+    for p = lo to hi - 1 do
+      let j = col_idx.(p) in
+      if j < 0 || j >= n || (p > lo && j <= col_idx.(p - 1)) then
+        fail (Printf.sprintf "row %d: columns must strictly ascend in [0, %d)" i n);
+      if not (values.(p) > 0.) then fail "values must be > 0"
+    done
+  done;
+  { n; row_ptr; col_idx; values }
+
 let get t i j =
   let lo = ref t.row_ptr.(i) and hi = ref (t.row_ptr.(i + 1) - 1) in
   let found = ref 0. in

@@ -59,6 +59,16 @@ val of_sorted_rows : n:int -> (int array * float array) array -> t
     bug, not a deletion.
     @raise Invalid_argument on any contract violation. *)
 
+val of_arrays :
+  n:int -> row_ptr:int array -> col_idx:int array -> values:float array -> t
+(** [of_arrays ~n ~row_ptr ~col_idx ~values] adopts the three CSR arrays
+    as they are (no copy): [row_ptr] of length [n + 1], starting at [0]
+    and non-decreasing, [row_ptr.(n)] the length of [col_idx] and of
+    [values], columns strictly ascending in [0, n) within each row and
+    every value [> 0.].  The caller must not mutate the arrays
+    afterwards.
+    @raise Invalid_argument on any contract violation. *)
+
 val nnz : t -> int
 val row_nnz : t -> int -> int
 

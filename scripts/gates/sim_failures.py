@@ -9,7 +9,8 @@ Invariants, not wall-clock:
   - realized survival never undershoots the Eq. 7 prediction at the
     injection level (wcs_slack_min >= 0);
   - exhaustive injection reproduces predicted WCS exactly
-    (oracle_gap == 0) -- the paper's test oracle, kept live in CI.
+    (oracle_gap == 0) -- the paper's test oracle, kept live in CI;
+  - the section stays within its allocation budget.
 """
 
 import os
@@ -17,6 +18,13 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 import common
+
+#: Minor words in the ``section.sim-failures`` span measured with
+#: ``scripts/ci-bench-smoke.sh sim-failures --fast --arrivals 400 --jobs 1``
+#: (one domain, so the count repeats to the word): 22,839,160.  The
+#: budget leaves 50% headroom.
+MEASURED_WORDS = 22839160
+BUDGET_WORDS = 1.5 * MEASURED_WORDS
 
 
 def check(doc):
@@ -47,6 +55,11 @@ def check(doc):
     assert c.get("failure.injected", 0) > 0, c
     assert c.get("recovery.replaced", 0) > 0, c
     assert "section.sim-failures" in doc["spans"]
+    words = doc["spans"]["section.sim-failures"]["gc"]["minor_words"]
+    assert words <= BUDGET_WORDS, (
+        "section.sim-failures allocates %d minor words, over the budget of "
+        "%.0f" % (words, BUDGET_WORDS)
+    )
 
 
 common.main(check)

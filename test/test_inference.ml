@@ -10,6 +10,7 @@ module Similarity = Cm_inference.Similarity
 module Louvain = Cm_inference.Louvain
 module Ami = Cm_inference.Ami
 module Infer = Cm_inference.Infer
+module Scatter = Cm_inference.Scatter
 module Oracle = Inference_oracle
 
 let check_float = Alcotest.(check (float 1e-6))
@@ -234,7 +235,10 @@ let prop_projection_matches_oracle =
       let m =
         Array.init n (fun _ ->
             Array.init n (fun _ ->
-                if Rng.uniform rng < 0.25 then 0.05 +. (Rng.uniform rng *. 4.)
+                if Rng.uniform rng < 0.25 then
+                  (* Some rates near 1e-200, whose products underflow. *)
+                  (if Rng.uniform rng < 0.2 then 1e-200 else 1.)
+                  *. (0.05 +. (Rng.uniform rng *. 4.))
                 else 0.))
       in
       Csr.equal
@@ -322,6 +326,15 @@ let test_projection_csr_matches_dense () =
   let dense = Oracle.projection_graph (Csr.to_dense m) in
   Alcotest.(check bool) "bit-identical projection" true
     (Csr.equal (Csr.of_dense dense) (Similarity.projection_csr m))
+
+let test_projection_tiny_rates () =
+  (* Three VMs trading 1e-200 both ways: every product underflows to 0,
+     so there is no edge; the scatter once overran on such rows. *)
+  let m = Array.init 3 (fun i -> Array.init 3 (fun j -> if i = j then 0. else 1e-200)) in
+  let g = Similarity.projection_csr (Csr.of_dense m) in
+  Alcotest.(check bool) "equals the dense oracle" true
+    (Csr.equal g (Csr.of_dense (Oracle.projection_graph m)));
+  Alcotest.(check int) "empty graph" 0 (Csr.nnz g)
 
 let test_mean_csr_matches_dense () =
   let rng = Rng.create 22 in
@@ -727,6 +740,95 @@ let prop_louvain_labels_compact =
       Array.iter (fun l -> seen.(l) <- true) labels;
       Array.for_all Fun.id seen)
 
+(* {1 Scatter} *)
+
+(* A plain, checked scatter: a [seen] flag (not the accumulator's value)
+   marks first touches. *)
+let checked_scatter n rows =
+  let acc = Array.make n 0. and seen = Array.make n false in
+  let order = ref [] in
+  List.iter
+    (fun (skip, f, idx, v, lo, hi) ->
+      for q = lo to hi - 1 do
+        let j = idx.(q) in
+        if j <> skip then begin
+          if not seen.(j) then begin
+            seen.(j) <- true;
+            order := j :: !order
+          end;
+          acc.(j) <- acc.(j) +. (f *. v.(q))
+        end
+      done)
+    rows;
+  (Array.of_list (List.rev !order), acc)
+
+let frame_reset n fr =
+  Scatter.touched fr = [||]
+  && List.for_all (fun j -> Scatter.partial fr j = -1.) (List.init n Fun.id)
+
+let prop_scatter_matches_checked =
+  QCheck.Test.make ~name:"Scatter.add equals a checked scatter, bit for bit"
+    ~count:300
+    QCheck.(pair (int_range 1 40) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      (* Values and factors now and then near 1e-200, so products
+         underflow to 0 on partners that are touched again. *)
+      let value () =
+        (if Rng.uniform rng < 0.3 then 1e-200 else 1.)
+        *. (0.01 +. Rng.uniform rng)
+      in
+      let row () =
+        let idx =
+          Array.of_list
+            (List.filter (fun _ -> Rng.uniform rng < 0.4) (List.init n Fun.id))
+        in
+        let len = Array.length idx in
+        let lo = Rng.int rng (len + 1) in
+        let hi = lo + Rng.int rng (len - lo + 1) in
+        (Rng.int rng (n + 1) - 1, value (), idx, Array.map (fun _ -> value ()) idx, lo, hi)
+      in
+      let rows = List.init (1 + Rng.int rng 6) (fun _ -> row ()) in
+      let order, acc = checked_scatter n rows in
+      let fr = Scatter.create n in
+      List.iter (fun (skip, f, idx, v, lo, hi) -> Scatter.add fr ~skip [| f |] 0 idx v lo hi) rows;
+      let bits x = Int64.bits_of_float x in
+      let same_touched = Scatter.touched fr = order in
+      let same_acc =
+        Array.for_all (fun j -> bits (Scatter.partial fr j) = bits acc.(j)) order
+      in
+      let sorted = Array.copy order in
+      Array.sort compare sorted;
+      let kept = List.filter (fun j -> acc.(j) > 0.) (Array.to_list sorted) in
+      let e = Scatter.emit_positive fr in
+      let cols, vals = Scatter.take fr e in
+      same_touched && same_acc
+      && cols = Array.of_list kept
+      && Array.for_all2 (fun j x -> bits x = bits acc.(j)) cols vals
+      && frame_reset n fr)
+
+let test_scatter_bad_row () =
+  (* Each row is checked before any entry is read: the first entry is in
+     bounds, so a scatter that started before its check would leave it
+     in the frame. *)
+  let bad =
+    [
+      ("last index >= n", [| 0; 4 |], [| 1.; 1. |], 0, 2);
+      ("idx/v lengths differ", [| 0; 1; 2 |], [| 1.; 1. |], 0, 2);
+      ("negative index", [| -1; 2 |], [| 1.; 1. |], 0, 2);
+      ("start below 0", [| 0; 2 |], [| 1.; 1. |], -1, 2);
+      ("end past the row", [| 0; 2 |], [| 1.; 1. |], 0, 3);
+    ]
+  in
+  List.iter
+    (fun (what, idx, v, lo, hi) ->
+      let fr = Scatter.create 4 in
+      (match Scatter.add fr ~skip:(-1) [| 1. |] 0 idx v lo hi with
+      | () -> Alcotest.failf "%s: no Invalid_argument" what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (what ^ ": frame untouched") true (frame_reset 4 fr))
+    bad
+
 let () =
   Alcotest.run "cm_inference"
     [
@@ -748,6 +850,13 @@ let () =
           Alcotest.test_case "projection symmetric" `Quick test_projection_symmetric;
           Alcotest.test_case "projection csr bit-identical" `Quick
             test_projection_csr_matches_dense;
+          Alcotest.test_case "projection of tiny rates" `Quick
+            test_projection_tiny_rates;
+        ] );
+      ( "scatter",
+        [
+          Alcotest.test_case "bad row raises before reading" `Quick
+            test_scatter_bad_row;
         ] );
       ( "louvain",
         [
@@ -810,6 +919,7 @@ let () =
             prop_louvain_labels_compact;
             prop_louvain_matches_oracle;
             prop_aggregate_matches_oracle;
+            prop_scatter_matches_checked;
             prop_projection_matches_oracle;
             prop_louvain_modularity_nondecreasing;
           ] );

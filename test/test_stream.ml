@@ -255,6 +255,32 @@ let test_stream_incremental_skips_work () =
       Alcotest.(check int) "no dirty vertices" 0 st.Stream.dirty_vertices;
       Alcotest.(check int) "nothing moved" 0 st.Stream.moved
 
+let test_stream_tiny_rates () =
+  (* Products of 1e-200 rates underflow to 0: the partial dots stay 0
+     while their partners are touched again, which once overran the
+     scatter's touched list. *)
+  let n = 8 in
+  let uniform x =
+    Csr.of_dense (Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else x)))
+  in
+  let base = uniform 1e-200 in
+  let s = Stream.create ~n () in
+  for _ = 1 to 5 do
+    push_verified s base
+  done;
+  let changed =
+    Csr.of_dense
+      (Array.init n (fun i ->
+           Array.init n (fun j ->
+               if i = j then 0. else if i = 0 then 3e-200 else 1e-200)))
+  in
+  let st = Stream.push s changed in
+  Alcotest.(check bool) "incremental tick" false st.Stream.full;
+  Alcotest.(check int) "every vertex dirty" n st.Stream.dirty_vertices;
+  match Stream.verify s with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
 let test_stream_accessors_before_push () =
   let s = Stream.create ~n:4 () in
   Alcotest.check_raises "labels before push"
@@ -588,6 +614,8 @@ let () =
             test_stream_batch_matches_incremental_on_stationary;
           Alcotest.test_case "benchmark shape, 1 and 2 domains" `Quick
             test_stream_benchmark_shape;
+          Alcotest.test_case "tiny rates stay incremental" `Quick
+            test_stream_tiny_rates;
         ] );
       ( "drift-events",
         [

@@ -488,6 +488,29 @@ let test_csr_of_row_lists () =
       try ignore (Csr.of_row_lists ~n:2 [| [ (2, 1.) ]; [] |])
       with Invalid_argument _ -> raise (Invalid_argument ""))
 
+let test_csr_of_arrays () =
+  let t = Csr.of_dense sample_dense in
+  let adopt row_ptr col_idx values =
+    Csr.of_arrays ~n:4 ~row_ptr ~col_idx ~values
+  in
+  Alcotest.(check bool) "adopts valid arrays" true
+    (Csr.equal t
+       (adopt (Array.copy t.Csr.row_ptr) (Array.copy t.Csr.col_idx)
+          (Array.copy t.Csr.values)));
+  List.iter
+    (fun (what, row_ptr, col_idx, values) ->
+      match adopt row_ptr col_idx values with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("short row_ptr", [| 0; 1; 1; 2 |], [| 1; 3 |], [| 1.; 1. |]);
+      ("entry count", [| 0; 1; 1; 1; 2 |], [| 1 |], [| 1. |]);
+      ("decreasing row_ptr", [| 0; 2; 1; 2; 2 |], [| 1; 3 |], [| 1.; 1. |]);
+      ("column out of range", [| 0; 1; 1; 1; 1 |], [| 4 |], [| 1. |]);
+      ("columns not ascending", [| 0; 2; 2; 2; 2 |], [| 3; 1 |], [| 1.; 1. |]);
+      ("zero value", [| 0; 1; 1; 1; 1 |], [| 1 |], [| 0. |]);
+    ]
+
 let test_csr_iteration_order () =
   let t = Csr.of_dense sample_dense in
   let seen = ref [] in
@@ -760,6 +783,7 @@ let () =
           Alcotest.test_case "of_dense" `Quick test_csr_of_dense;
           Alcotest.test_case "round trip" `Quick test_csr_roundtrip;
           Alcotest.test_case "of_row_lists" `Quick test_csr_of_row_lists;
+          Alcotest.test_case "of_arrays" `Quick test_csr_of_arrays;
           Alcotest.test_case "iteration order" `Quick test_csr_iteration_order;
           Alcotest.test_case "sums" `Quick test_csr_sums;
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
