@@ -167,6 +167,47 @@ let test_deterministic () =
   Alcotest.(check (float 1e-12)) "same shortfall" a.mean_shortfall
     b.mean_shortfall
 
+(* {1 Goldens: the evaluator's reports, bit for bit}
+
+   Captured before [evaluate] and [evaluate_with_tags] shared one pair
+   evaluator. *)
+
+let report_digest (r : E2e.report) =
+  Printf.sprintf "%d/%d/%d/%h" r.edges_total r.edges_violated r.flows
+    r.mean_shortfall
+
+let golden_modes =
+  [
+    (E2e.No_protection, "10/10/484/0x1.cf83e0f83e0f8p-1");
+    (E2e.Hose_protection, "10/6/484/0x1.446c6ab4b446dp-3");
+    (E2e.Tag_protection, "10/0/484/0x0p+0");
+  ]
+
+let test_golden_reports () =
+  List.iter
+    (fun (mode, expect) ->
+      let tree = Tree.create spec in
+      let tenants = deploy tree heavy_tenants in
+      let rng = Cm_util.Rng.create 17 in
+      let r = E2e.evaluate ~background_flows:200 ~rng ~tree ~tenants ~mode () in
+      Alcotest.(check string) (E2e.mode_to_string mode) expect (report_digest r))
+    golden_modes
+
+let golden_table_md5 = "128e9e7fc6444632227c0d93f8e67d4c"
+
+let test_golden_table () =
+  let saved = Cm_util.Par.default_domains () in
+  Cm_util.Par.set_default_domains 1;
+  let table =
+    Fun.protect
+      ~finally:(fun () -> Cm_util.Par.set_default_domains saved)
+      (fun () ->
+        Cm_util.Table.render
+          (Cm_experiments.Experiments.end_to_end ~seed:42 ~bmax:800.))
+  in
+  Alcotest.(check string) "e2e table md5" golden_table_md5
+    (Digest.to_hex (Digest.string table))
+
 let () =
   Alcotest.run "cm_e2e"
     [
@@ -183,5 +224,7 @@ let () =
             test_external_traffic_protected;
           Alcotest.test_case "report consistency" `Quick test_report_consistency;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "report digests golden" `Quick test_golden_reports;
+          Alcotest.test_case "experiment table golden" `Quick test_golden_table;
         ] );
     ]

@@ -464,6 +464,71 @@ let test_golden_shard () =
     golden_shard_md5
     (Digest.to_hex (Digest.string (String.concat "#" digests)))
 
+(* {1 Batched arrival loop golden}
+
+   [Runner.run_batched] on the 512-server tree at load 1.3, so both
+   rejection reasons occur.  The digests were captured before [run] and
+   [run_batched] shared one arrival loop; each must hold at epochs 1, 7
+   and 64 and at 1 and 2 domains. *)
+
+let sim_digest (r : Cm_sim.Runner.result) =
+  Printf.sprintf "%d/%d/%d/%d/%d/%d/%d/%.3f/%.3f/%.6f/%d/%.6f" r.arrivals
+    r.accepted r.rejected r.rejected_no_slots r.rejected_no_bw r.offered_vms
+    r.rejected_vms r.offered_bw r.rejected_bw r.mean_utilization
+    (Array.length r.wcs_per_component)
+    (Array.fold_left ( +. ) 0. r.wcs_per_component)
+
+let golden_batched =
+  [
+    ( 1,
+      "600/557/43/31/12/42023/10243/6292007.810/2110285.234/0.739607/1948/\
+       242.833766" );
+    ( 7,
+      "600/585/15/10/5/40547/5326/5235045.899/919599.882/0.751985/2144/\
+       278.994670" );
+    ( 64,
+      "600/557/43/16/27/43415/9653/5920988.335/1654935.474/0.683596/1938/\
+       262.962638" );
+  ]
+
+let test_golden_batched () =
+  let pool =
+    Cm_workload.Pool.scale_to_bmax
+      (Cm_workload.Pool.bing_like ~seed:1 ())
+      ~bmax:800.
+  in
+  let config =
+    { Cm_sim.Runner.default_config with seed = 5; n_arrivals = 600; load = 1.3 }
+  in
+  List.iter
+    (fun (epoch, expect) ->
+      List.iter
+        (fun domains ->
+          let saved = Cm_util.Par.default_domains () in
+          Cm_util.Par.set_default_domains domains;
+          let tree =
+            Tree.create
+              {
+                Tree.degrees = [ 4; 8; 16 ];
+                slots_per_server = 25;
+                server_up_mbps = 10_000.;
+                oversub = [ 4.; 8. ];
+              }
+          in
+          let r =
+            Fun.protect
+              ~finally:(fun () -> Cm_util.Par.set_default_domains saved)
+              (fun () ->
+                Cm_sim.Runner.run_batched ~epoch (Shard.create tree) pool
+                  config)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "epoch %d, %d domains" epoch domains)
+            expect (sim_digest r);
+          check_pristine (Printf.sprintf "epoch %d drained" epoch) tree)
+        [ 1; 2 ])
+    golden_batched
+
 let test_shard_geometry () =
   let tree = Tree.create pod_spec in
   let shard = Shard.create tree in
@@ -502,5 +567,7 @@ let () =
             test_golden_shard;
           Alcotest.test_case "pod geometry and validation" `Quick
             test_shard_geometry;
+          Alcotest.test_case "run_batched digest golden" `Quick
+            test_golden_batched;
         ] );
     ]

@@ -549,7 +549,15 @@ let test_renegotiated_beats_stale () =
     (Printf.sprintf "renegotiated (%d) <= stale (%d)"
        renegotiated.E2e.edges_violated stale.E2e.edges_violated)
     true
-    (renegotiated.E2e.edges_violated <= stale.E2e.edges_violated)
+    (renegotiated.E2e.edges_violated <= stale.E2e.edges_violated);
+  (* Captured before [evaluate_with_tags] shared [evaluate]'s pair
+     evaluator. *)
+  let digest (r : E2e.report) =
+    Printf.sprintf "%d/%d/%d/%h" r.edges_total r.edges_violated r.flows
+      r.mean_shortfall
+  in
+  Alcotest.(check string) "stale golden" "1/1/182/0x1.aaaaaaaaaaaabp-1" (digest stale);
+  Alcotest.(check string) "renegotiated golden" "1/0/182/0x0p+0" (digest renegotiated)
 
 let test_evaluate_with_tags_guards () =
   let tree = Tree.create tree_spec in
