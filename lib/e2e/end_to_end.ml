@@ -114,7 +114,7 @@ type flow_meta = {
   promise : float;  (** TAG pair guarantee — what the tenant was sold. *)
 }
 
-(* Shared tail: feasibility-cap the guarantees, run the max-min
+(* The evaluator's tail: feasibility-cap the guarantees, run the max-min
    allocation and score each sampled pair against its promise.
    [tenant_edges] holds each tenant's (name, edge count). *)
 let allocate_and_report ~links ~flows ~metas ~tenant_edges =
@@ -227,136 +227,6 @@ let allocate_and_report ~links ~flows ~metas ~tenant_edges =
     flows = List.length flows;
   }
 
-let evaluate ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng ~tree
-    ~tenants ~mode () =
-  let links = links_of_tree tree in
-  let flows = ref [] and metas = ref [] in
-  let next_id = ref 0 in
-  List.iteri
-    (fun tenant_ix (tag, locations) ->
-      let servers = vm_servers tree locations in
-      (* Collect this tenant's sampled active pairs per edge. *)
-      let tenant_pairs = ref [] in
-      Array.iteri
-        (fun edge_ix (e : Tag.edge) ->
-          if Tag.is_external tag e.src then begin
-            (* Traffic from an external: per-VM receive flows routed from
-               the root. *)
-            for j = 0 to Tag.size tag e.dst - 1 do
-              tenant_pairs := (edge_ix, `From_external (e.dst, j)) :: !tenant_pairs
-            done
-          end
-          else if Tag.is_external tag e.dst then
-            for i = 0 to Tag.size tag e.src - 1 do
-              tenant_pairs := (edge_ix, `To_external (e.src, i)) :: !tenant_pairs
-            done
-          else begin
-            let self = e.src = e.dst in
-            let chosen =
-              sample_pairs rng ~n_src:(Tag.size tag e.src)
-                ~n_dst:(Tag.size tag e.dst) ~self ~cap:pairs_per_edge
-            in
-            List.iter
-              (fun (i, j) ->
-                tenant_pairs :=
-                  (edge_ix, `Internal ((e.src, i), (e.dst, j)))
-                  :: !tenant_pairs)
-              chosen
-          end)
-        (Tag.edges tag);
-      let tenant_pairs = List.rev !tenant_pairs in
-      (* Guarantee partitioning over the tenant's active set. *)
-      let elastic_pairs =
-        List.map
-          (fun (_, kind) ->
-            match kind with
-            | `Internal ((c1, i), (c2, j)) ->
-                {
-                  Elastic.src = { Elastic.comp = c1; vm = i };
-                  dst = { Elastic.comp = c2; vm = j };
-                }
-            | `To_external (c, i) ->
-                (* Represent the external endpoint as a pseudo VM of the
-                   external component. *)
-                let ext =
-                  List.find
-                    (fun x -> Tag.is_external tag x)
-                    (List.init
-                       (Tag.n_components tag + Tag.n_externals tag)
-                       Fun.id)
-                in
-                {
-                  Elastic.src = { Elastic.comp = c; vm = i };
-                  dst = { Elastic.comp = ext; vm = 0 };
-                }
-            | `From_external (c, j) ->
-                let ext =
-                  List.find
-                    (fun x -> Tag.is_external tag x)
-                    (List.init
-                       (Tag.n_components tag + Tag.n_externals tag)
-                       Fun.id)
-                in
-                {
-                  Elastic.src = { Elastic.comp = ext; vm = 0 };
-                  dst = { Elastic.comp = c; vm = j };
-                })
-          tenant_pairs
-      in
-      let promises =
-        Elastic.pair_guarantees tag Elastic.Tag_gp ~pairs:elastic_pairs
-      in
-      let enforced =
-        match mode with
-        | No_protection -> List.map (fun (p, _) -> (p, 0.)) promises
-        | Hose_protection ->
-            Elastic.pair_guarantees tag Elastic.Hose_gp ~pairs:elastic_pairs
-        | Tag_protection -> promises
-      in
-      List.iteri
-        (fun k (edge_ix, kind) ->
-          let path =
-            match kind with
-            | `Internal ((c1, i), (c2, j)) ->
-                path_between tree servers.(c1).(i) servers.(c2).(j)
-            | `To_external (c, i) -> path_to_root tree servers.(c).(i)
-            | `From_external (c, j) ->
-                List.map
-                  (fun l -> l + 1) (* up -> down links on the same path *)
-                  (path_to_root tree servers.(c).(j))
-          in
-          let _, promise = List.nth promises k in
-          let _, g = List.nth enforced k in
-          let id = !next_id in
-          incr next_id;
-          flows :=
-            { Maxmin.flow_id = id; path; demand = infinity; guarantee = g }
-            :: !flows;
-          metas := { tenant_ix; edge_ix; promise } :: !metas)
-        tenant_pairs)
-    tenants;
-  (* Unguaranteed background congestion. *)
-  let servers = Tree.servers tree in
-  for _ = 1 to background_flows do
-    let s1 = Rng.pick rng servers and s2 = Rng.pick rng servers in
-    let id = !next_id in
-    incr next_id;
-    flows :=
-      {
-        Maxmin.flow_id = id;
-        path = path_between tree s1 s2;
-        demand = infinity;
-        guarantee = 0.;
-      }
-      :: !flows;
-    metas := { tenant_ix = -1; edge_ix = -1; promise = 0. } :: !metas
-  done;
-  allocate_and_report ~links ~flows:(List.rev !flows) ~metas:!metas
-    ~tenant_edges:
-      (List.map
-         (fun (tag, _) -> (Tag.name tag, Array.length (Tag.edges tag)))
-         tenants)
-
 (* Map (component, vm) coordinates of one TAG to the other through the
    shared global VM numbering (components concatenated in order). *)
 let vm_offsets tag =
@@ -374,86 +244,100 @@ let of_global offs g =
   done;
   (!c, g - offs.(!c))
 
-let evaluate_with_tags ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng
-    ~tree ~tenants ~mode () =
+(* The one pair evaluator.  Each tenant is [(actual, sold, locations)]:
+   active pairs are sampled from [actual] and promised its per-pair
+   guarantees, while the enforced guarantees are partitioned from
+   [sold], whose components key [locations].  An external endpoint is
+   the pseudo VM 0 of the edge's own external, and keeps its index in
+   [sold]; only [evaluate] passes TAGs with externals, and there
+   [sold == actual]. *)
+let evaluate_tenants ~pairs_per_edge ~background_flows ~rng ~tree ~tenants
+    ~mode =
   let links = links_of_tree tree in
   let flows = ref [] and metas = ref [] in
   let next_id = ref 0 in
   List.iteri
     (fun tenant_ix (actual, sold, locations) ->
-      if Tag.n_externals actual > 0 || Tag.n_externals sold > 0 then
-        invalid_arg "evaluate_with_tags: external components unsupported";
-      let a_offs = vm_offsets actual and s_offs = vm_offsets sold in
-      let na = a_offs.(Tag.n_components actual)
-      and ns = s_offs.(Tag.n_components sold) in
-      if na <> ns then
-        invalid_arg "evaluate_with_tags: actual/sold VM count mismatch";
       let servers = vm_servers tree locations in
-      (* Sample active pairs from the ACTUAL communication structure. *)
-      let tenant_pairs = ref [] in
+      let vm comp vm = { Elastic.comp; vm } in
+      let sampled = ref [] in
       Array.iteri
         (fun edge_ix (e : Tag.edge) ->
-          let self = e.src = e.dst in
-          let chosen =
-            sample_pairs rng ~n_src:(Tag.size actual e.src)
-              ~n_dst:(Tag.size actual e.dst) ~self ~cap:pairs_per_edge
+          let add src dst =
+            sampled := (edge_ix, { Elastic.src; dst }) :: !sampled
           in
-          List.iter
-            (fun (i, j) ->
-              tenant_pairs := (edge_ix, (e.src, i), (e.dst, j)) :: !tenant_pairs)
-            chosen)
+          if Tag.is_external actual e.src then
+            (* Traffic from an external: per-VM receive flows routed from
+               the root. *)
+            for j = 0 to Tag.size actual e.dst - 1 do
+              add (vm e.src 0) (vm e.dst j)
+            done
+          else if Tag.is_external actual e.dst then
+            for i = 0 to Tag.size actual e.src - 1 do
+              add (vm e.src i) (vm e.dst 0)
+            done
+          else
+            List.iter
+              (fun (i, j) -> add (vm e.src i) (vm e.dst j))
+              (sample_pairs rng ~n_src:(Tag.size actual e.src)
+                 ~n_dst:(Tag.size actual e.dst) ~self:(e.src = e.dst)
+                 ~cap:pairs_per_edge))
         (Tag.edges actual);
-      let tenant_pairs = List.rev !tenant_pairs in
-      let actual_pairs =
-        List.map
-          (fun (_, (c1, i), (c2, j)) ->
-            {
-              Elastic.src = { Elastic.comp = c1; vm = i };
-              dst = { Elastic.comp = c2; vm = j };
-            })
-          tenant_pairs
-      in
-      (* Same pairs in the SOLD TAG's coordinates: guarantees are
+      let edge_ixs, pairs = List.split (List.rev !sampled) in
+      let edge_ixs = Array.of_list edge_ixs in
+      (* The same pairs in the sold TAG's coordinates: guarantees are
          enforced from what was negotiated, which may be stale. *)
+      let a_offs = vm_offsets actual and s_offs = vm_offsets sold in
+      let to_sold (ep : Elastic.endpoint) =
+        if Tag.is_external actual ep.comp then ep
+        else
+          let comp, v = of_global s_offs (a_offs.(ep.comp) + ep.vm) in
+          vm comp v
+      in
       let sold_pairs =
         List.map
-          (fun (_, (c1, i), (c2, j)) ->
-            let sc1, si = of_global s_offs (a_offs.(c1) + i) in
-            let sc2, sj = of_global s_offs (a_offs.(c2) + j) in
-            {
-              Elastic.src = { Elastic.comp = sc1; vm = si };
-              dst = { Elastic.comp = sc2; vm = sj };
-            })
-          tenant_pairs
+          (fun (p : Elastic.active_pair) ->
+            { Elastic.src = to_sold p.src; dst = to_sold p.dst })
+          pairs
+      in
+      let guarantees tag gp pairs =
+        Array.of_list (List.map snd (Elastic.pair_guarantees tag gp ~pairs))
       in
       (* The promise is what the tenant's application now needs. *)
-      let promises =
-        Elastic.pair_guarantees actual Elastic.Tag_gp ~pairs:actual_pairs
-      in
+      let promises = guarantees actual Elastic.Tag_gp pairs in
       let enforced =
         match mode with
-        | No_protection -> List.map (fun (p, _) -> (p, 0.)) promises
-        | Hose_protection ->
-            Elastic.pair_guarantees sold Elastic.Hose_gp ~pairs:sold_pairs
-        | Tag_protection ->
-            Elastic.pair_guarantees sold Elastic.Tag_gp ~pairs:sold_pairs
+        | No_protection -> Array.make (Array.length promises) 0.
+        | Hose_protection -> guarantees sold Elastic.Hose_gp sold_pairs
+        | Tag_protection -> guarantees sold Elastic.Tag_gp sold_pairs
       in
       List.iteri
-        (fun k (edge_ix, (c1, i), (c2, j)) ->
-          (* Placement is keyed by the sold TAG's components. *)
-          let sc1, si = of_global s_offs (a_offs.(c1) + i) in
-          let sc2, sj = of_global s_offs (a_offs.(c2) + j) in
-          let path = path_between tree servers.(sc1).(si) servers.(sc2).(sj) in
-          let _, promise = List.nth promises k in
-          let _, g = List.nth enforced k in
+        (fun k (p : Elastic.active_pair) ->
+          let server (ep : Elastic.endpoint) = servers.(ep.comp).(ep.vm) in
+          let path =
+            if Tag.is_external sold p.src.comp then
+              (* up -> down links on the same path *)
+              List.map (fun l -> l + 1) (path_to_root tree (server p.dst))
+            else if Tag.is_external sold p.dst.comp then
+              path_to_root tree (server p.src)
+            else path_between tree (server p.src) (server p.dst)
+          in
           let id = !next_id in
           incr next_id;
           flows :=
-            { Maxmin.flow_id = id; path; demand = infinity; guarantee = g }
+            {
+              Maxmin.flow_id = id;
+              path;
+              demand = infinity;
+              guarantee = enforced.(k);
+            }
             :: !flows;
-          metas := { tenant_ix; edge_ix; promise } :: !metas)
-        tenant_pairs)
+          metas :=
+            { tenant_ix; edge_ix = edge_ixs.(k); promise = promises.(k) }
+            :: !metas)
+        sold_pairs)
     tenants;
+  (* Unguaranteed background congestion. *)
   let servers = Tree.servers tree in
   for _ = 1 to background_flows do
     let s1 = Rng.pick rng servers and s2 = Rng.pick rng servers in
@@ -475,3 +359,19 @@ let evaluate_with_tags ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng
          (fun (actual, _, _) ->
            (Tag.name actual, Array.length (Tag.edges actual)))
          tenants)
+
+let evaluate ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng ~tree
+    ~tenants ~mode () =
+  evaluate_tenants ~pairs_per_edge ~background_flows ~rng ~tree ~mode
+    ~tenants:(List.map (fun (tag, locations) -> (tag, tag, locations)) tenants)
+
+let evaluate_with_tags ?(pairs_per_edge = 32) ?(background_flows = 0) ~rng
+    ~tree ~tenants ~mode () =
+  List.iter
+    (fun (actual, sold, _) ->
+      if Tag.n_externals actual > 0 || Tag.n_externals sold > 0 then
+        invalid_arg "evaluate_with_tags: external components unsupported";
+      if Tag.total_vms actual <> Tag.total_vms sold then
+        invalid_arg "evaluate_with_tags: actual/sold VM count mismatch")
+    tenants;
+  evaluate_tenants ~pairs_per_edge ~background_flows ~rng ~tree ~tenants ~mode

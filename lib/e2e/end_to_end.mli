@@ -50,7 +50,14 @@ val evaluate :
 (** [pairs_per_edge] caps the sampled active pairs per TAG edge (default
     32).  [background_flows] adds that many unguaranteed backlogged flows
     between random servers (default 0) — congestion the enforcement must
-    shield tenants from.  Deterministic given [rng]. *)
+    shield tenants from.  Deterministic given [rng].
+
+    An edge to or from an external component (the Internet, a storage
+    service) gives every VM of its tier one flow to or from that
+    external, routed through the root.  The external side is uncapped
+    (see {!Cm_enforce.Elastic.pair_guarantees}), so each such flow is
+    promised its VM's [S] (outbound) or [R] (inbound) on the edge.  This
+    is {!evaluate_with_tags} with [sold = actual]. *)
 
 val evaluate_with_tags :
   ?pairs_per_edge:int ->
@@ -71,5 +78,6 @@ val evaluate_with_tags :
     the report quantifies what stale guarantees cost after drift — and
     why the streaming engine's renegotiation signal
     ({!Cm_inference.Stream.drift_events}) matters.  Both TAGs must be
-    external-free and describe the same VM population.
+    external-free and describe the same VM population; both are checked
+    for every tenant before any pair is sampled.
     @raise Invalid_argument otherwise. *)

@@ -66,10 +66,16 @@ let pair_guarantees ?demands tag enforcement ~pairs =
     Hashtbl.replace table key
       (i :: Option.value ~default:[] (Hashtbl.find_opt table key))
   in
+  (* An external endpoint (the Internet, a storage service) has no hose
+     of its own: its side of a pair joins no group and stays uncapped.
+     [Tag.create] gives that side of the edge no guarantee, so capping
+     it by the edge would zero every pair with an external. *)
   Array.iteri
     (fun i p ->
-      push send_groups (p.src.comp, p.src.vm, scope p.dst.comp) i;
-      push recv_groups (p.dst.comp, p.dst.vm, scope p.src.comp) i)
+      if not (Tag.is_external tag p.src.comp) then
+        push send_groups (p.src.comp, p.src.vm, scope p.dst.comp) i;
+      if not (Tag.is_external tag p.dst.comp) then
+        push recv_groups (p.dst.comp, p.dst.vm, scope p.src.comp) i)
     pairs_arr;
   (* Hose rate on each side of a pair. *)
   let send_rate (p : active_pair) =
@@ -90,7 +96,8 @@ let pair_guarantees ?demands tag enforcement ~pairs =
         | Some e -> e.rcv_bw
       end
   in
-  let send_alloc = Array.make n 0. and recv_alloc = Array.make n 0. in
+  let send_alloc = Array.make n infinity
+  and recv_alloc = Array.make n infinity in
   let fill groups rate_of alloc =
     Hashtbl.iter
       (fun _key indices ->

@@ -33,6 +33,12 @@ val pair_guarantees :
     [Tag_gp] splits each edge's [<S, R>] among the active peers {e on
     that edge} only; pairs with no corresponding TAG edge get 0.
 
+    An endpoint in an external component (the Internet, a storage
+    service; its [vm] is ignored) has no hose of its own: its side of
+    the pair is uncapped ([infinity]) in both modes, so the pair gets
+    the VM side's share.  Without this, the external side's guarantee —
+    0 by the {!Cm_tag.Tag.create} convention — would zero the pair.
+
     Without [demands] each hose is split equally.  With [demands] (one
     per pair, same order; [infinity] = backlogged) the split is
     ElasticSwitch's max-min GP: pairs needing less than their fair share

@@ -72,9 +72,6 @@ let vm_rejection_rate r =
 
 let bw_rejection_rate r = 100. *. Cm_util.Stats.ratio r.rejected_bw r.offered_bw
 
-let tenant_rejection_rate r =
-  100. *. Cm_util.Stats.ratio (float_of_int r.rejected) (float_of_int r.arrivals)
-
 let mean_wcs r = 100. *. Cm_util.Stats.mean r.wcs_per_component
 
 let min_wcs r =
@@ -85,226 +82,171 @@ let max_wcs r =
   if Array.length r.wcs_per_component = 0 then 0.
   else 100. *. snd (Cm_util.Stats.min_max r.wcs_per_component)
 
-let run ?series_prefix (sched : Driver.scheduler) tree pool config =
-  if config.load <= 0. then invalid_arg "Runner.run: load must be positive";
-  let rng = Rng.create config.seed in
-  let lambda =
-    config.load
-    *. float_of_int (Tree.total_slots tree)
-    /. (Pool.mean_size pool *. config.dwell_time)
-  in
-  let departures = Pqueue.create () in
-  let clock = ref 0. in
-  let accepted = ref 0
-  and rejected = ref 0
-  and rejected_no_slots = ref 0
-  and rejected_no_bw = ref 0
-  and offered_vms = ref 0
-  and rejected_vms = ref 0
-  and offered_bw = ref 0.
-  and rejected_bw = ref 0. in
-  let wcs_samples = ref [] in
-  let util_sum = ref 0. in
-  let total_slots = float_of_int (Tree.total_slots tree) in
-  for i = 1 to config.n_arrivals do
-    clock := !clock +. Rng.exponential rng ~rate:lambda;
-    Metrics.incr m_arrivals;
-    (* Process departures scheduled before this arrival. *)
-    let rec drain () =
-      match Pqueue.peek departures with
-      | Some (t, _) when t <= !clock -> begin
-          match Pqueue.pop departures with
-          | Some (_, placement) ->
-              sched.Driver.release placement;
-              Metrics.incr m_departures;
-              drain ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
-    in
-    drain ();
-    let util =
-      (total_slots -. float_of_int (Tree.free_slots_subtree tree (Tree.root tree)))
-      /. total_slots
-    in
-    util_sum := !util_sum +. util;
-    sample_series series_prefix "utilization" ~x:(float_of_int i) util;
-    let tag = Rng.pick rng pool.Pool.tags in
-    let vms = Tag.total_vms tag in
-    let bw = Tag.aggregate_bandwidth tag in
-    offered_vms := !offered_vms + vms;
-    offered_bw := !offered_bw +. bw;
-    (match sched.Driver.place (Types.request ?ha:config.ha tag) with
-    | Ok placement ->
-        incr accepted;
-        Metrics.incr m_accepted;
-        (* Use the placement's own TAG: schedulers may deploy a converted
-           rendering (e.g. the VC baseline) with different components. *)
-        let wcs =
-          Wcs.per_component tree placement.Types.req.tag
-            placement.Types.locations ~laa_level:config.wcs_level
-        in
-        Array.iter (fun w -> wcs_samples := w :: !wcs_samples) wcs;
-        let dwell = Rng.exponential rng ~rate:(1. /. config.dwell_time) in
-        Pqueue.push departures (!clock +. dwell) placement
-    | Error reason ->
-        incr rejected;
-        Metrics.incr m_rejected;
-        rejected_vms := !rejected_vms + vms;
-        rejected_bw := !rejected_bw +. bw;
-        (match reason with
-        | Types.No_slots -> incr rejected_no_slots
-        | Types.No_bandwidth -> incr rejected_no_bw));
-    sample_series series_prefix "acceptance_rate" ~x:(float_of_int i)
-      (float_of_int !accepted /. float_of_int i)
-  done;
-  (* Drain remaining tenants so the tree can be reused. *)
-  let rec drain_all () =
-    match Pqueue.pop departures with
-    | Some (_, placement) ->
-        sched.Driver.release placement;
-        Metrics.incr m_departures;
-        drain_all ()
-    | None -> ()
-  in
-  drain_all ();
-  {
-    arrivals = config.n_arrivals;
-    accepted = !accepted;
-    rejected = !rejected;
-    rejected_no_slots = !rejected_no_slots;
-    rejected_no_bw = !rejected_no_bw;
-    offered_vms = !offered_vms;
-    rejected_vms = !rejected_vms;
-    offered_bw = !offered_bw;
-    rejected_bw = !rejected_bw;
-    wcs_per_component = Array.of_list (List.rev !wcs_samples);
-    mean_utilization = !util_sum /. float_of_int (max 1 config.n_arrivals);
+(* The paper's load definition solved for the Poisson arrival rate. *)
+let arrival_rate fn tree pool config =
+  if config.load <= 0. then invalid_arg (fn ^ ": load must be positive");
+  config.load
+  *. float_of_int (Tree.total_slots tree)
+  /. (Pool.mean_size pool *. config.dwell_time)
+
+(* Admission accounting, shared by every arrival loop so that an offer,
+   an acceptance and a rejection (by reason) are each counted in one
+   place.  [i] is the 1-based arrival number, the x of both series. *)
+module Tally = struct
+  type t = {
+    series_prefix : string option;
+    tree : Tree.t;
+    total_slots : float;
+    wcs_level : int;
+    mutable accepted : int;
+    mutable rejected : int;
+    mutable rejected_no_slots : int;
+    mutable rejected_no_bw : int;
+    mutable offered_vms : int;
+    mutable rejected_vms : int;
+    mutable offered_bw : float;
+    mutable rejected_bw : float;
+    mutable wcs_samples : float list;
+    mutable util_sum : float;
   }
 
-(* Epoch-batched variant of {!run}: arrivals are drawn [epoch] at a time
-   and placed together through {!Cm_placement.Shard.place_batch}.  Every
-   RNG draw happens serially — the whole epoch's inter-arrival times and
-   tags first, then the accepted tenants' dwell times in arrival order —
-   so the trajectory is deterministic and jobs-invariant (the only
-   parallelism is inside [place_batch], which is itself
-   domains-invariant).  Departures scheduled inside an epoch take effect
-   at the next epoch boundary; accounting otherwise mirrors {!run}
-   sample for sample. *)
-let run_batched ?series_prefix ?(epoch = 64) shard pool config =
-  let module Shard = Cm_placement.Shard in
-  if config.load <= 0. then
-    invalid_arg "Runner.run_batched: load must be positive";
-  if epoch <= 0 then invalid_arg "Runner.run_batched: epoch must be positive";
-  let tree = Shard.tree shard in
-  let rng = Rng.create config.seed in
-  let lambda =
-    config.load
-    *. float_of_int (Tree.total_slots tree)
-    /. (Pool.mean_size pool *. config.dwell_time)
-  in
-  let departures = Pqueue.create () in
-  let clock = ref 0. in
-  let accepted = ref 0
-  and rejected = ref 0
-  and rejected_no_slots = ref 0
-  and rejected_no_bw = ref 0
-  and offered_vms = ref 0
-  and rejected_vms = ref 0
-  and offered_bw = ref 0.
-  and rejected_bw = ref 0. in
-  let wcs_samples = ref [] in
-  let util_sum = ref 0. in
-  let total_slots = float_of_int (Tree.total_slots tree) in
-  let drain () =
-    let rec go () =
-      match Pqueue.peek departures with
-      | Some (t, _) when t <= !clock -> begin
-          match Pqueue.pop departures with
-          | Some (_, placement) ->
-              Shard.release shard placement;
-              Metrics.incr m_departures;
-              go ()
-          | None -> ()
-        end
-      | Some _ | None -> ()
+  let create ?series_prefix tree (config : config) =
+    {
+      series_prefix;
+      tree;
+      total_slots = float_of_int (Tree.total_slots tree);
+      wcs_level = config.wcs_level;
+      accepted = 0;
+      rejected = 0;
+      rejected_no_slots = 0;
+      rejected_no_bw = 0;
+      offered_vms = 0;
+      rejected_vms = 0;
+      offered_bw = 0.;
+      rejected_bw = 0.;
+      wcs_samples = [];
+      util_sum = 0.;
+    }
+
+  (* Samples the slot utilization the arrival sees, so call it after the
+     departures due before the arrival are released. *)
+  let offer t ~i tag =
+    Metrics.incr m_arrivals;
+    let util =
+      (t.total_slots
+      -. float_of_int (Tree.free_slots_subtree t.tree (Tree.root t.tree)))
+      /. t.total_slots
     in
-    go ()
+    t.util_sum <- t.util_sum +. util;
+    sample_series t.series_prefix "utilization" ~x:(float_of_int i) util;
+    t.offered_vms <- t.offered_vms + Tag.total_vms tag;
+    t.offered_bw <- t.offered_bw +. Tag.aggregate_bandwidth tag
+
+  let decided t ~i =
+    sample_series t.series_prefix "acceptance_rate" ~x:(float_of_int i)
+      (float_of_int t.accepted /. float_of_int i)
+
+  let accept t ~i (placement : Types.placement) =
+    t.accepted <- t.accepted + 1;
+    Metrics.incr m_accepted;
+    (* Use the placement's own TAG: schedulers may deploy a converted
+       rendering (e.g. the VC baseline) with different components. *)
+    Array.iter
+      (fun w -> t.wcs_samples <- w :: t.wcs_samples)
+      (Wcs.per_component t.tree placement.Types.req.tag
+         placement.Types.locations ~laa_level:t.wcs_level);
+    decided t ~i
+
+  let reject t ~i tag reason =
+    t.rejected <- t.rejected + 1;
+    Metrics.incr m_rejected;
+    t.rejected_vms <- t.rejected_vms + Tag.total_vms tag;
+    t.rejected_bw <- t.rejected_bw +. Tag.aggregate_bandwidth tag;
+    (match reason with
+    | Types.No_slots -> t.rejected_no_slots <- t.rejected_no_slots + 1
+    | Types.No_bandwidth -> t.rejected_no_bw <- t.rejected_no_bw + 1);
+    decided t ~i
+
+  let finish t config : result =
+    {
+      arrivals = config.n_arrivals;
+      accepted = t.accepted;
+      rejected = t.rejected;
+      rejected_no_slots = t.rejected_no_slots;
+      rejected_no_bw = t.rejected_no_bw;
+      offered_vms = t.offered_vms;
+      rejected_vms = t.rejected_vms;
+      offered_bw = t.offered_bw;
+      rejected_bw = t.rejected_bw;
+      wcs_per_component = Array.of_list (List.rev t.wcs_samples);
+      mean_utilization = t.util_sum /. float_of_int (max 1 config.n_arrivals);
+    }
+end
+
+(* The arrival loop of {!run} and {!run_batched}: arrivals are drawn
+   [epoch] at a time and decided together by [place].  Every RNG draw
+   is serial — the epoch's inter-arrival times and tags first, then the
+   accepted tenants' dwell times in arrival order — so the trajectory is
+   deterministic and, when [place] is, jobs-invariant.  With [epoch = 1]
+   each arrival goes clock, drain, utilization, tag, place, dwell.
+   Departures due inside an epoch take effect at the next arrival drawn,
+   and all that remain are released at the end so the tree can be
+   reused. *)
+let arrivals fn ?series_prefix ~epoch ~place ~release tree pool config =
+  let lambda = arrival_rate fn tree pool config in
+  if epoch <= 0 then invalid_arg (fn ^ ": epoch must be positive");
+  let rng = Rng.create config.seed in
+  let tally = Tally.create ?series_prefix tree config in
+  let departures = Pqueue.create () in
+  let rec drain now =
+    match Pqueue.peek departures with
+    | Some (t, _) when t <= now -> begin
+        match Pqueue.pop departures with
+        | Some (_, placement) ->
+            release placement;
+            Metrics.incr m_departures;
+            drain now
+        | None -> ()
+      end
+    | Some _ | None -> ()
   in
-  let i = ref 0 in
-  while !i < config.n_arrivals do
-    let b = min epoch (config.n_arrivals - !i) in
-    let drawn = ref [] in
-    for j = 1 to b do
-      let x = float_of_int (!i + j) in
-      clock := !clock +. Rng.exponential rng ~rate:lambda;
-      Metrics.incr m_arrivals;
-      drain ();
-      let util =
-        (total_slots
-        -. float_of_int (Tree.free_slots_subtree tree (Tree.root tree)))
-        /. total_slots
-      in
-      util_sum := !util_sum +. util;
-      sample_series series_prefix "utilization" ~x util;
-      let tag = Rng.pick rng pool.Pool.tags in
-      offered_vms := !offered_vms + Tag.total_vms tag;
-      offered_bw := !offered_bw +. Tag.aggregate_bandwidth tag;
-      drawn := (x, !clock, tag) :: !drawn
-    done;
-    let batch = List.rev !drawn in
-    let results =
-      Shard.place_batch shard
-        (List.map (fun (_, _, tag) -> Types.request ?ha:config.ha tag) batch)
+  let clock = ref 0. and n = ref 0 in
+  while !n < config.n_arrivals do
+    let b = min epoch (config.n_arrivals - !n) in
+    let batch =
+      List.init b (fun j ->
+          let i = !n + j + 1 in
+          clock := !clock +. Rng.exponential rng ~rate:lambda;
+          drain !clock;
+          let tag = Rng.pick rng pool.Pool.tags in
+          Tally.offer tally ~i tag;
+          (i, !clock, tag))
     in
     List.iter2
-      (fun (x, t_arr, tag) result ->
-        (match result with
+      (fun (i, t_arr, tag) -> function
         | Ok placement ->
-            incr accepted;
-            Metrics.incr m_accepted;
-            let wcs =
-              Wcs.per_component tree placement.Types.req.tag
-                placement.Types.locations ~laa_level:config.wcs_level
-            in
-            Array.iter (fun w -> wcs_samples := w :: !wcs_samples) wcs;
+            Tally.accept tally ~i placement;
             let dwell = Rng.exponential rng ~rate:(1. /. config.dwell_time) in
             Pqueue.push departures (t_arr +. dwell) placement
-        | Error reason ->
-            incr rejected;
-            Metrics.incr m_rejected;
-            rejected_vms := !rejected_vms + Tag.total_vms tag;
-            rejected_bw := !rejected_bw +. Tag.aggregate_bandwidth tag;
-            (match reason with
-            | Types.No_slots -> incr rejected_no_slots
-            | Types.No_bandwidth -> incr rejected_no_bw));
-        sample_series series_prefix "acceptance_rate" ~x
-          (float_of_int !accepted /. x))
-      batch results;
-    i := !i + b
+        | Error reason -> Tally.reject tally ~i tag reason)
+      batch
+      (place
+         (List.map (fun (_, _, tag) -> Types.request ?ha:config.ha tag) batch));
+    n := !n + b
   done;
-  let rec drain_all () =
-    match Pqueue.pop departures with
-    | Some (_, placement) ->
-        Shard.release shard placement;
-        Metrics.incr m_departures;
-        drain_all ()
-    | None -> ()
-  in
-  drain_all ();
-  {
-    arrivals = config.n_arrivals;
-    accepted = !accepted;
-    rejected = !rejected;
-    rejected_no_slots = !rejected_no_slots;
-    rejected_no_bw = !rejected_no_bw;
-    offered_vms = !offered_vms;
-    rejected_vms = !rejected_vms;
-    offered_bw = !offered_bw;
-    rejected_bw = !rejected_bw;
-    wcs_per_component = Array.of_list (List.rev !wcs_samples);
-    mean_utilization = !util_sum /. float_of_int (max 1 config.n_arrivals);
-  }
+  drain infinity;
+  Tally.finish tally config
+
+let run ?series_prefix (sched : Driver.scheduler) tree pool config =
+  arrivals "Runner.run" ?series_prefix ~epoch:1
+    ~place:(List.map sched.Driver.place) ~release:sched.Driver.release tree
+    pool config
+
+let run_batched ?series_prefix ?(epoch = 64) shard pool config =
+  let module Shard = Cm_placement.Shard in
+  arrivals "Runner.run_batched" ?series_prefix ~epoch
+    ~place:(Shard.place_batch shard) ~release:(Shard.release shard)
+    (Shard.tree shard) pool config
 
 let horizon tree pool config =
   float_of_int config.n_arrivals
@@ -361,15 +303,9 @@ type stranded_info = {
 
 let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
     (sched : Driver.scheduler) tree pool config ~(failures : Failure.schedule) =
-  if config.load <= 0. then
-    invalid_arg "Runner.run_with_failures: load must be positive";
   let module Reservation = Cm_topology.Reservation in
+  let lambda = arrival_rate "Runner.run_with_failures" tree pool config in
   let rng = Rng.create config.seed in
-  let lambda =
-    config.load
-    *. float_of_int (Tree.total_slots tree)
-    /. (Pool.mean_size pool *. config.dwell_time)
-  in
   let domains = Tree.nodes_at_level tree failures.Failure.level in
   if Array.length domains = 0 then
     invalid_arg "Runner.run_with_failures: no fault domains at level";
@@ -389,17 +325,7 @@ let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
   let permanent_blockades = ref [] in
   let clock = ref 0. in
   let next_id = ref 0 in
-  let accepted = ref 0
-  and rejected = ref 0
-  and rejected_no_slots = ref 0
-  and rejected_no_bw = ref 0
-  and offered_vms = ref 0
-  and rejected_vms = ref 0
-  and offered_bw = ref 0.
-  and rejected_bw = ref 0. in
-  let wcs_samples = ref [] in
-  let util_sum = ref 0. in
-  let total_slots = float_of_int (Tree.total_slots tree) in
+  let tally = Tally.create ?series_prefix tree config in
   let events_injected = ref 0
   and events_repaired = ref 0
   and tenants_affected = ref 0
@@ -658,48 +584,23 @@ let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
   in
   for i = 1 to config.n_arrivals do
     clock := !clock +. Rng.exponential rng ~rate:lambda;
-    Metrics.incr m_arrivals;
     process_until !clock;
     (* Stranded tenants get a recovery pass before the new arrival: the
        provider restores existing guarantees ahead of admitting load. *)
     if Hashtbl.length stranded_tbl > 0 then attempt_recoveries !clock;
-    let util =
-      (total_slots -. float_of_int (Tree.free_slots_subtree tree (Tree.root tree)))
-      /. total_slots
-    in
-    util_sum := !util_sum +. util;
-    sample_series series_prefix "utilization" ~x:(float_of_int i) util;
     sample_series series_prefix "stranded" ~x:(float_of_int i)
       (float_of_int (Hashtbl.length stranded_tbl));
     let tag = Rng.pick rng pool.Pool.tags in
-    let vms = Tag.total_vms tag in
-    let bw = Tag.aggregate_bandwidth tag in
-    offered_vms := !offered_vms + vms;
-    offered_bw := !offered_bw +. bw;
-    (match sched.Driver.place (Types.request ?ha:config.ha tag) with
+    Tally.offer tally ~i tag;
+    match sched.Driver.place (Types.request ?ha:config.ha tag) with
     | Ok placement ->
-        incr accepted;
-        Metrics.incr m_accepted;
-        let wcs =
-          Wcs.per_component tree placement.Types.req.tag
-            placement.Types.locations ~laa_level:config.wcs_level
-        in
-        Array.iter (fun w -> wcs_samples := w :: !wcs_samples) wcs;
+        Tally.accept tally ~i placement;
         let id = !next_id in
         incr next_id;
         admit id placement;
         let dwell = Rng.exponential rng ~rate:(1. /. config.dwell_time) in
         Pqueue.push departures (!clock +. dwell) id
-    | Error reason ->
-        incr rejected;
-        Metrics.incr m_rejected;
-        rejected_vms := !rejected_vms + vms;
-        rejected_bw := !rejected_bw +. bw;
-        (match reason with
-        | Types.No_slots -> incr rejected_no_slots
-        | Types.No_bandwidth -> incr rejected_no_bw));
-    sample_series series_prefix "acceptance_rate" ~x:(float_of_int i)
-      (float_of_int !accepted /. float_of_int i)
+    | Error reason -> Tally.reject tally ~i tag reason
   done;
   (* Drain everything left — departures, pending injections, repairs —
      still in time order, so late repairs can rescue stranded tenants
@@ -709,23 +610,8 @@ let run_with_failures ?series_prefix ?(recovery = default_recovery) ?inspect
      for reuse; the simulated datacenter simply ended with those domains
      dark. *)
   List.iter (Reservation.release tree) !permanent_blockades;
-  let base =
-    {
-      arrivals = config.n_arrivals;
-      accepted = !accepted;
-      rejected = !rejected;
-      rejected_no_slots = !rejected_no_slots;
-      rejected_no_bw = !rejected_no_bw;
-      offered_vms = !offered_vms;
-      rejected_vms = !rejected_vms;
-      offered_bw = !offered_bw;
-      rejected_bw = !rejected_bw;
-      wcs_per_component = Array.of_list (List.rev !wcs_samples);
-      mean_utilization = !util_sum /. float_of_int (max 1 config.n_arrivals);
-    }
-  in
   {
-    base;
+    base = Tally.finish tally config;
     events_injected = !events_injected;
     events_repaired = !events_repaired;
     tenants_affected = !tenants_affected;

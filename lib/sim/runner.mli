@@ -43,8 +43,6 @@ val vm_rejection_rate : result -> float
 val bw_rejection_rate : result -> float
 (** Rejected bandwidth / offered bandwidth, in percent. *)
 
-val tenant_rejection_rate : result -> float
-
 val mean_wcs : result -> float
 (** Mean achieved WCS over all deployed components, in percent. *)
 
@@ -60,7 +58,10 @@ val run :
     [i]) and [<prefix>.acceptance_rate] (running acceptance fraction),
     with [x = i].  Prefixes must be distinct per logical run — parallel
     rows sharing a name would interleave within one ring.  No-ops when
-    series are disabled; never affects results. *)
+    series are disabled; never affects results.
+
+    [run] is {!run_batched}'s arrival loop with batches of one arrival,
+    each placed by the scheduler as it arrives. *)
 
 val run_batched :
   ?series_prefix:string ->
@@ -69,14 +70,17 @@ val run_batched :
   Cm_workload.Pool.t ->
   config ->
   result
-(** Epoch-batched variant of {!run} over a sharded allocator: arrivals
-    are drawn [epoch] (default 64) at a time and placed together through
+(** Epoch-batched variant of {!run} over a sharded allocator, sharing
+    its arrival loop and admission accounting: arrivals are drawn
+    [epoch] (default 64) at a time and placed together through
     {!Cm_placement.Shard.place_batch}.  Deterministic and jobs-invariant
-    (all RNG draws are serial, in a fixed order); {e not} required to
-    match {!run}'s one-at-a-time trajectory — pods decide concurrently
-    against epoch-start state, and departures inside an epoch take
-    effect at the next epoch boundary.  Accounting and [?series_prefix]
-    semantics mirror {!run}. *)
+    (all RNG draws are serial: the epoch's inter-arrival times and tags,
+    then the accepted tenants' dwell times in arrival order); {e not}
+    required to match {!run}'s trajectory — pods decide concurrently
+    against epoch-start state, and departures due inside an epoch take
+    effect at the next epoch boundary.  [?series_prefix] samples the
+    same series as {!run}.
+    @raise Invalid_argument unless [load] and [epoch] are positive. *)
 
 (** {1 Failure campaign (§4.5 extended)}
 

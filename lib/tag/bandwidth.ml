@@ -54,14 +54,6 @@ let external_in tag inside =
       else acc)
     0. (Tag.edges tag)
 
-let tag_trunk_out tag ~inside =
-  check_inside tag inside;
-  sum_edges edge_out tag inside ~self:false
-
-let tag_hose_out tag ~inside =
-  check_inside tag inside;
-  sum_edges edge_out tag inside ~self:true
-
 let tag_out tag ~inside =
   check_inside tag inside;
   sum_edges edge_out tag inside ~self:false

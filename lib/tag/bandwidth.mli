@@ -27,12 +27,6 @@ val tag_required : Tag.t -> inside:int array -> float * float
     order).  The placement hot path prices uplinks with it, through
     [required Tag_model]. *)
 
-val tag_trunk_out : Tag.t -> inside:int array -> float
-(** The [B_trunk] part of Eq. 1 (inter-component edges only). *)
-
-val tag_hose_out : Tag.t -> inside:int array -> float
-(** The [B_hose] part of Eq. 1 (self-loops only). *)
-
 (** {1 Generalized-hose accounting (§2.2)}
 
     The whole tenant as one hose: each VM's hose rate aggregates all of its

@@ -1,11 +1,6 @@
 type vm = { comp : int; idx : int }
 type pipe = { src_vm : vm; dst_vm : vm; bw : float }
 
-let vm_compare a b =
-  match compare a.comp b.comp with 0 -> compare a.idx b.idx | c -> c
-
-let vm_to_string v = Printf.sprintf "c%d/vm%d" v.comp v.idx
-
 let vms_of_tag tag =
   let vms = ref [] in
   for c = Tag.n_components tag - 1 downto 0 do
@@ -47,9 +42,6 @@ let of_tag tag =
         done)
     (Tag.edges tag);
   List.rev !pipes
-
-let total_bandwidth pipes =
-  List.fold_left (fun acc p -> acc +. p.bw) 0. pipes
 
 let crossing_bandwidth pipes ~src_in =
   List.fold_left

@@ -10,18 +10,12 @@ type vm = { comp : int; idx : int }
 
 type pipe = { src_vm : vm; dst_vm : vm; bw : float }
 
-val vm_compare : vm -> vm -> int
-val vm_to_string : vm -> string
-
 val vms_of_tag : Tag.t -> vm array
 (** Every VM of the tenant, ordered by component then index. *)
 
 val of_tag : Tag.t -> pipe list
 (** Idealized uniform pipes.  Zero-bandwidth pipes are omitted; a
     self-loop on a singleton component produces no pipes. *)
-
-val total_bandwidth : pipe list -> float
-(** Sum of pipe bandwidths (counts each direction separately). *)
 
 val crossing_bandwidth : pipe list -> src_in:(vm -> bool) -> float * float
 (** [(out, in)] bandwidth of pipes crossing a boundary, where [src_in]

@@ -479,7 +479,6 @@ let index_flush t =
   t.idx_cleans - before
 
 let index_key t id = (t.nodes.(id).free_subtree lsl t.idx_id_bits) lor id
-let index_key_of t ~free ~id = (free lsl t.idx_id_bits) lor id
 let index_key_id t key = key land ((1 lsl t.idx_id_bits) - 1)
 
 let index_min_key t ~tlevel v =
@@ -586,7 +585,6 @@ let set_shard_barrier t ~level =
   t.idx_barrier <- level
 
 let clear_shard_barrier t = t.idx_barrier <- -1
-let shard_barrier t = t.idx_barrier
 
 let unchecked_settle_above t ~node ~taken =
   (* After a barrier phase: apply the subtree's net slot delta to the

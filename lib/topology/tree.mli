@@ -162,9 +162,6 @@ val index_key : t -> int -> int
     order-independent (fewest free slots, lowest id) selection key.
     Unique per node, so comparing keys never ties. *)
 
-val index_key_of : t -> free:int -> id:int -> int
-(** Pack an explicit (free, id) pair with the tree's key layout. *)
-
 val index_key_id : t -> int -> int
 (** Unpack the node id from a packed key. *)
 
@@ -216,8 +213,6 @@ val set_shard_barrier : t -> level:int -> unit
 (** @raise Invalid_argument unless [1 <= level <= n_levels t - 2]. *)
 
 val clear_shard_barrier : t -> unit
-val shard_barrier : t -> int
-(** The active barrier level, or [-1]. *)
 
 val unchecked_settle_above : t -> node:int -> taken:int -> unit
 (** Subtract [taken] slots from [free_slots_subtree] of every strict

@@ -1,7 +1,8 @@
 """Gate for the region-scale placement sweep (bench placement-scale):
 the availability index matched a from-scratch rebuild after every run,
-batched placement was jobs-invariant, and throughput did not collapse
-with size.  Only identities, orderings and relative factors are
+batched placement was jobs-invariant, throughput did not collapse
+with size, and the indexed placements stayed within their allocation
+budget.  Only identities, orderings and relative factors are
 asserted -- never absolute wall-clock, which CI machines cannot hold
 steady.  Absolute numbers are bisected offline against the committed
 BENCH_pr8.json baseline."""
@@ -11,6 +12,17 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 import common
+
+#: Minor words per ``place.CM`` call, measured with
+#: ``scripts/ci-bench-smoke.sh placement-scale --fast --arrivals 200
+#: --jobs 2`` (3,218,640 words over 800 calls, the same in three runs).
+#: These are the indexed runs' placements, made on the calling domain,
+#: so the count is exact at any ``--jobs``; ``shard.place_batch`` and
+#: ``section.placement_scale`` also count whichever batch slices the
+#: caller ran, and move by ~2% from run to run.  The budget leaves 50%
+#: headroom.
+MEASURED_WORDS_PER_PLACE = 4023
+BUDGET_WORDS_PER_PLACE = 1.5 * MEASURED_WORDS_PER_PLACE
 
 
 def check(doc):
@@ -56,6 +68,13 @@ def check(doc):
 
     assert "section.placement_scale" in doc["spans"]
     assert "shard.place_batch" in doc["spans"]
+
+    place = doc["spans"]["place.CM"]
+    per_place = place["gc"]["minor_words"] / place["count"]
+    assert per_place <= BUDGET_WORDS_PER_PLACE, (
+        "place.CM allocates %.0f minor words per call, over the budget "
+        "of %.0f" % (per_place, BUDGET_WORDS_PER_PLACE)
+    )
 
 
 common.main(check)

@@ -128,7 +128,29 @@ let test_external_traffic_protected () =
     E2e.evaluate ~background_flows:100 ~rng ~tree ~tenants
       ~mode:E2e.Tag_protection ()
   in
+  Alcotest.(check int) "every edge scored" 3 r.edges_total;
   Alcotest.(check int) "no violations incl. external edges" 0 r.edges_violated
+
+let test_each_external_scored () =
+  (* Two externals: each pair must carry its own edge's external, and
+     the external side of an edge (0 by the [Tag.create] convention) must
+     not cap the pair's promise to 0. *)
+  let tree = Tree.create spec in
+  let tag =
+    Tag.create ~name:"two-ext" ~externals:[ "internet"; "storage" ]
+      ~components:[ ("web", 4); ("db", 2) ]
+      ~edges:[ (0, 2, 100., 0.); (1, 3, 200., 0.) ]
+      ()
+  in
+  let tenants = deploy tree [ tag ] in
+  Alcotest.(check int) "deployed" 1 (List.length tenants);
+  let rng = Cm_util.Rng.create 5 in
+  let r =
+    E2e.evaluate ~background_flows:200 ~rng ~tree ~tenants
+      ~mode:E2e.Tag_protection ()
+  in
+  Alcotest.(check int) "both external edges scored" 2 r.edges_total;
+  Alcotest.(check int) "no violations" 0 r.edges_violated
 
 let test_report_consistency () =
   let tree = Tree.create spec in
@@ -190,7 +212,8 @@ let test_golden_reports () =
       let tenants = deploy tree heavy_tenants in
       let rng = Cm_util.Rng.create 17 in
       let r = E2e.evaluate ~background_flows:200 ~rng ~tree ~tenants ~mode () in
-      Alcotest.(check string) (E2e.mode_to_string mode) expect (report_digest r))
+      Alcotest.(check string)
+        (E2e.mode_to_string mode) expect (report_digest r))
     golden_modes
 
 let golden_table_md5 = "128e9e7fc6444632227c0d93f8e67d4c"
@@ -222,6 +245,8 @@ let () =
             test_hose_fails_tag_holds_under_directed_congestion;
           Alcotest.test_case "external traffic protected" `Quick
             test_external_traffic_protected;
+          Alcotest.test_case "each external edge scored" `Quick
+            test_each_external_scored;
           Alcotest.test_case "report consistency" `Quick test_report_consistency;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "report digests golden" `Quick test_golden_reports;

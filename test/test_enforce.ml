@@ -177,6 +177,34 @@ let test_tag_gp_no_edge_zero () =
   | [ (_, g) ] -> check_float "no edge, no guarantee" 0. g
   | _ -> Alcotest.fail "one pair expected"
 
+let test_gp_external_side_uncapped () =
+  (* Two web VMs send 100 each to the Internet and receive 50 each from
+     it; the external side of both edges is 0 by the [Tag.create]
+     convention and must not cap the pairs. *)
+  let tag =
+    Cm_tag.Tag.create ~externals:[ "internet" ]
+      ~components:[ ("web", 2) ]
+      ~edges:[ (0, 1, 100., 0.); (1, 0, 0., 50.) ]
+      ()
+  in
+  let pairs =
+    [
+      { Elastic.src = ep 0 0; dst = ep 1 0 };
+      { Elastic.src = ep 0 1; dst = ep 1 0 };
+      { Elastic.src = ep 1 0; dst = ep 0 0 };
+    ]
+  in
+  List.iter
+    (fun gp ->
+      let name = Elastic.enforcement_to_string gp in
+      match Elastic.pair_guarantees tag gp ~pairs with
+      | [ (_, out0); (_, out1); (_, in0) ] ->
+          check_float (name ^ ": web0 out") 100. out0;
+          check_float (name ^ ": web1 out") 100. out1;
+          check_float (name ^ ": web0 in") 50. in0
+      | _ -> Alcotest.fail "three pairs expected")
+    [ Elastic.Tag_gp; Elastic.Hose_gp ]
+
 let test_gp_demand_aware_redistribution () =
   (* ElasticSwitch GP is max-min: a pair that needs less than its fair
      share of the hose donates the remainder to the other pairs. *)
@@ -1128,6 +1156,8 @@ let () =
           Alcotest.test_case "TAG splits per edge" `Quick test_tag_gp_splits_per_edge;
           Alcotest.test_case "hose aggregates" `Quick test_hose_gp_aggregates;
           Alcotest.test_case "no edge -> zero" `Quick test_tag_gp_no_edge_zero;
+          Alcotest.test_case "external side uncapped" `Quick
+            test_gp_external_side_uncapped;
           Alcotest.test_case "demand-aware redistribution" `Quick
             test_gp_demand_aware_redistribution;
           Alcotest.test_case "demands length mismatch" `Quick

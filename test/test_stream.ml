@@ -556,8 +556,10 @@ let test_renegotiated_beats_stale () =
     Printf.sprintf "%d/%d/%d/%h" r.edges_total r.edges_violated r.flows
       r.mean_shortfall
   in
-  Alcotest.(check string) "stale golden" "1/1/182/0x1.aaaaaaaaaaaabp-1" (digest stale);
-  Alcotest.(check string) "renegotiated golden" "1/0/182/0x0p+0" (digest renegotiated)
+  Alcotest.(check string) "stale golden" "1/1/182/0x1.aaaaaaaaaaaabp-1"
+    (digest stale);
+  Alcotest.(check string) "renegotiated golden" "1/0/182/0x0p+0"
+    (digest renegotiated)
 
 let test_evaluate_with_tags_guards () =
   let tree = Tree.create tree_spec in
