@@ -607,7 +607,6 @@ let cell_set (idx : int array array) (vals : float array array) j r
    feature-dirty vertex set (dirty rows plus the owners of changed
    columns) into [t.mark].  Returns the number of dirty vertices. *)
 let patch_mirrors t dirty =
-  let k = Window.divisor t.win in
   let mark = t.mark in
   let n_marked = ref 0 in
   let touch v =
@@ -619,12 +618,8 @@ let patch_mirrors t dirty =
   for d = 0 to Array.length dirty - 1 do
     let r = dirty.(d) in
     touch r;
-    let wcols, wsums = Window.row t.win r in
+    let wcols, nvals = Window.mean_row t.win r in
     let nlen = Array.length wcols in
-    let nvals = Array.make nlen 0. in
-    for q = 0 to nlen - 1 do
-      nvals.(q) <- wsums.(q) /. k
-    done;
     let oc = t.row_cols.(r) and ov = t.row_vals.(r) in
     let olen = Array.length oc in
     (* Merge-diff old and new rows; patch the column mirror for every

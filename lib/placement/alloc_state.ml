@@ -21,6 +21,10 @@ type t = {
   counts : (int, int array) Hashtbl.t;
   bw : (int, float * float) Hashtbl.t;
   zero_counts : int array; (* shared all-zeros inside-vector; never mutated *)
+  (* Scratch for [uplink_refuses] and [sync_bw]: an inside-vector to
+     price, and the (out, in) requirement priced into a flat row. *)
+  probe : int array;
+  price : float array;
   (* Cache of the count rows along the server→root path most recently
      walked: rows are stable (entries are added to [counts], never
      removed or replaced), so resolving the Hashtbl chain once per
@@ -61,6 +65,8 @@ let create ?(model = Bandwidth.Tag_model) ?ha the_tree the_tag =
     counts = Hashtbl.create 64;
     bw = Hashtbl.create 64;
     zero_counts = Array.make n 0;
+    probe = Array.make n 0;
+    price = Array.make 2 0.;
     path_server = -1;
     path_len = 0;
     path_rows = Array.make (Tree.n_levels the_tree) [||];
@@ -230,22 +236,26 @@ let place t ~server ~comp ~n =
     true
   end
 
+(* The node's journaled (up, down) reservation: the stored pair itself,
+   so reading it allocates nothing. *)
+let baseline t node =
+  match Hashtbl.find t.bw node with
+  | p -> p
+  | exception Not_found -> (0., 0.)
+
 let sync_bw t ~node =
   if node = Tree.root t.the_tree then true
-  else
+  else begin
     (* Borrow the live inside-vector (shared zeros when untouched):
-       [Bandwidth.required] only reads it, so no defensive copy. *)
+       pricing only reads it, so no defensive copy. *)
     let inside =
-      match Hashtbl.find_opt t.counts node with
-      | Some arr -> arr
-      | None -> t.zero_counts
+      match Hashtbl.find t.counts node with
+      | arr -> arr
+      | exception Not_found -> t.zero_counts
     in
-    let required_up, required_down =
-      Bandwidth.required t.the_model t.the_tag ~inside
-    in
-    let cur_up, cur_down =
-      match Hashtbl.find_opt t.bw node with Some p -> p | None -> (0., 0.)
-    in
+    Bandwidth.required_into t.the_model t.the_tag ~inside t.price;
+    let required_up = t.price.(0) and required_down = t.price.(1) in
+    let cur_up, cur_down = baseline t node in
     let d_up = required_up -. cur_up and d_down = required_down -. cur_down in
     if d_up = 0. && d_down = 0. then true
     else if Reservation.reserve_bw t.txn ~node ~up:d_up ~down:d_down then begin
@@ -254,6 +264,97 @@ let sync_bw t ~node =
       true
     end
     else false
+  end
+
+(* {1 Refusal before recursion}
+
+   [sync_bw] on a node fails when the positive change of its uplink
+   requirement exceeds the residual, [reserved + (R x - baseline) > cap +
+   bw_epsilon], in either direction.  Under the TAG, hose and VOC models
+   each direction of [R] is a sum of mins of affine functions of the
+   inside counts, hence concave, so over the inside vectors [base + y]
+   with [0 <= y <= group] and [sum y >= 1] it is lowest at a vertex of
+   that polytope.  For a group of one tier [a] the vertices are [e_a] and
+   [g_a e_a]; a second tier [b] adds [e_b], [g_b e_b] and [g].  If every
+   vertex misses in the same direction, every sub-group misses there too.
+
+   Rounding: every Eq. 1 term is nonnegative, so the computed sum is
+   within a few ulps per edge of the exact one, relative to itself, and
+   the fit test adds a few more ulps of its operands.  [refuse_margin]
+   is a relative slack far above both, so a vertex that misses by more
+   than it also makes [sync_bw]'s own float test fail at every
+   sub-group. *)
+
+let refuse_margin = 1e-9
+
+(* [t.probe] priced against [node]'s uplink: bit 0 set when the out
+   direction misses by more than the margin, bit 1 for the in
+   direction. *)
+let probe_misses t ~node =
+  Bandwidth.required_into t.the_model t.the_tag ~inside:t.probe t.price;
+  let cur_up, cur_down = baseline t node in
+  let tree = t.the_tree in
+  let cap = Tree.uplink_capacity tree node in
+  let limit = cap +. Tree.bw_epsilon in
+  let r_up = t.price.(0) and r_down = t.price.(1) in
+  let res_up = Tree.reserved_up tree node
+  and res_down = Tree.reserved_down tree node in
+  let d_up = r_up -. cur_up and d_down = r_down -. cur_down in
+  let m_up =
+    refuse_margin *. (r_up +. Float.abs cur_up +. Float.abs res_up +. cap)
+  and m_down =
+    refuse_margin
+    *. (r_down +. Float.abs cur_down +. Float.abs res_down +. cap)
+  in
+  (if d_up > m_up && res_up +. d_up > limit +. m_up then 1 else 0)
+  lor if d_down > m_down && res_down +. d_down > limit +. m_down then 2 else 0
+
+let uplink_refuses t ~node ~group =
+  let n = Tag.n_components t.the_tag in
+  if Array.length group <> n then
+    invalid_arg "Alloc_state.uplink_refuses: group length";
+  let a = ref (-1) and b = ref (-1) and tiers = ref 0 in
+  for c = 0 to n - 1 do
+    if group.(c) > 0 then begin
+      incr tiers;
+      if !a < 0 then a := c else if !b < 0 then b := c
+    end
+  done;
+  if
+    t.the_model = Bandwidth.Pipe_model
+    || node = Tree.root t.the_tree
+    || !tiers = 0 || !tiers > 2
+  then false
+  else begin
+    let a = !a and b = !b in
+    let x = t.probe in
+    (match Hashtbl.find t.counts node with
+    | row -> Array.blit row 0 x 0 n
+    | exception Not_found -> Array.fill x 0 n 0);
+    let base_a = x.(a) and ga = group.(a) in
+    x.(a) <- base_a + 1;
+    let miss = ref (probe_misses t ~node) in
+    if !miss <> 0 && ga > 1 then begin
+      x.(a) <- base_a + ga;
+      miss := !miss land probe_misses t ~node
+    end;
+    if !miss <> 0 && b >= 0 then begin
+      let base_b = x.(b) and gb = group.(b) in
+      x.(a) <- base_a;
+      x.(b) <- base_b + 1;
+      miss := !miss land probe_misses t ~node;
+      if !miss <> 0 && gb > 1 then begin
+        x.(b) <- base_b + gb;
+        miss := !miss land probe_misses t ~node
+      end;
+      if !miss <> 0 then begin
+        x.(a) <- base_a + ga;
+        x.(b) <- base_b + gb;
+        miss := !miss land probe_misses t ~node
+      end
+    end;
+    !miss <> 0
+  end
 
 let checkpoint t = { jcp = t.jlen; rcp = Reservation.checkpoint t.txn }
 

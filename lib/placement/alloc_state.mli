@@ -71,6 +71,24 @@ val sync_bw : t -> node:int -> bool
     the current inside-counts ([ReserveBW] for a single link).  Returns
     [false] — recording nothing — if the increase does not fit. *)
 
+val uplink_refuses : t -> node:int -> group:int array -> bool
+(** [true] when [node]'s uplink would refuse every nonzero sub-group of
+    [group] added to its current inside counts: for each [y] with
+    [0 <= y <= group] and [sum y >= 1], {!sync_bw} on [node] would fail
+    once [node]'s subtree holds its current VMs plus [y].  The test prices
+    the vertices of that set ([e_a], [g_a e_a], and for a second tier [b]
+    also [e_b], [g_b e_b] and [g]) against the node's residual and its
+    baseline from this state (so after {!seed} it compares against the old
+    tag's reservation, as [sync_bw] does).  It is exact because each
+    direction of the TAG, hose and VOC requirement is concave in the
+    inside counts; the float test keeps a relative margin of [1e-9], so
+    a near miss is never refused.  Always [false] under [Pipe_model]
+    (bilinear), at the root, and for a group with no or more than two
+    nonzero tiers.  Records nothing and, under [Tag_model], allocates
+    nothing.
+    @raise Invalid_argument if [group]'s length is not the component
+    count. *)
+
 val sync_path_above : ?top:int -> t -> node:int -> bool
 (** [sync_bw] on every node from [node]'s parent up to [top] (inclusive;
     default the root — identical behaviour, since syncing the root's

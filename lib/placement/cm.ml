@@ -20,6 +20,10 @@ let m_place_accepted = Metrics.counter "cm.place.accepted"
 let m_reject_no_slots = Metrics.counter "cm.place.reject.no_slots"
 let m_reject_no_bandwidth = Metrics.counter "cm.place.reject.no_bandwidth"
 
+(* Colocate candidates whose switch child was skipped because its uplink
+   refuses every sub-group of the candidate ([State.uplink_refuses]). *)
+let m_alloc_pruned = Metrics.counter "cm.alloc.pruned"
+
 (* Rejection attribution (ISSUE 7): which constraint actually ended the
    search.  [No_slots] is unambiguous; a [No_bandwidth] verdict is
    classified by the evidence the attempt left in its [ctx] — uplink
@@ -609,7 +613,20 @@ and alloc_switch ctx g st =
           ctx frame remaining
       with
       | None -> continue := false
-      | Some (idx, child, gsub) -> try_child idx child gsub
+      | Some (idx, child, gsub) ->
+          (* A switch child whose uplink refuses every sub-group would
+             run its whole subtree only to fail its own [sync_bw] and
+             return nothing: skip it with the same outcome, and count the
+             refusal as that sync's bandwidth failure. *)
+          if
+            (not (Tree.is_server ctx.ctree child))
+            && State.uplink_refuses state ~node:child ~group:gsub
+          then begin
+            Metrics.incr m_alloc_pruned;
+            ctx.att_bw_failures <- ctx.att_bw_failures + 1;
+            mark_dead frame idx
+          end
+          else try_child idx child gsub
     done
   end;
   if total remaining > 0 then begin

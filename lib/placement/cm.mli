@@ -13,7 +13,13 @@
       both bandwidth directions approach full utilization together);
     - every placed VM's bandwidth impact is kept synchronized with the
       Eq. 1 requirement on each affected uplink, and any failed attempt is
-      rolled back exactly.
+      rolled back exactly;
+    - before recursing into a switch child for a [Colocate] group, the
+      child is skipped (marked exhausted, counted in [cm.alloc.pruned]
+      and as one bandwidth failure for rejection attribution) when
+      {!Alloc_state.uplink_refuses} shows its uplink would refuse every
+      sub-group of it.  The recursion would have returned nothing, so
+      decisions are unchanged; [Pipe_model] never skips.
 
     HA: a {!Types.ha_spec} enforces Eq. 7 anti-affinity caps (guaranteed
     WCS); the [opportunistic_ha] policy spreads VMs whenever bandwidth

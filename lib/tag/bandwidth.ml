@@ -199,8 +199,9 @@ type model = Tag_model | Hose_model | Voc_model | Pipe_model
    is bitwise equal to [(tag_out, tag_in)], at a sixth of the edge
    traffic and without touching an edge record.  This sits on the
    placement hot path ([Alloc_state.sync_bw] prices an uplink on every
-   server allocation and every path sync). *)
-let tag_required tag ~inside =
+   server allocation and every path sync), so it writes into the
+   caller's [out.(0)] and [out.(1)] and allocates nothing. *)
+let tag_required_into tag ~inside (out : float array) =
   check_inside tag inside;
   let v = Tag.edge_view tag in
   let trunk_out = ref 0.
@@ -229,8 +230,26 @@ let tag_required tag ~inside =
             trunk_out := !trunk_out +. o;
             trunk_in := !trunk_in +. n)
   done;
-  ( !trunk_out +. !hose_out +. !ext_out,
-    !trunk_in +. !hose_in +. !ext_in )
+  out.(0) <- !trunk_out +. !hose_out +. !ext_out;
+  out.(1) <- !trunk_in +. !hose_in +. !ext_in
+
+let tag_required tag ~inside =
+  let out = Array.make 2 0. in
+  tag_required_into tag ~inside out;
+  (out.(0), out.(1))
+
+let required_into model tag ~inside (out : float array) =
+  match model with
+  | Tag_model -> tag_required_into tag ~inside out
+  | Hose_model ->
+      out.(0) <- hose_out tag ~inside;
+      out.(1) <- hose_in tag ~inside
+  | Voc_model ->
+      out.(0) <- voc_out tag ~inside;
+      out.(1) <- voc_in tag ~inside
+  | Pipe_model ->
+      out.(0) <- pipe_out tag ~inside;
+      out.(1) <- pipe_in tag ~inside
 
 let required model tag ~inside =
   match model with

@@ -78,4 +78,9 @@ type model = Tag_model | Hose_model | Voc_model | Pipe_model
 val required : model -> Tag.t -> inside:int array -> float * float
 (** [(out, in)] uplink requirement under the given abstraction. *)
 
+val required_into : model -> Tag.t -> inside:int array -> float array -> unit
+(** {!required} written into [out.(0)] and [out.(1)], bitwise the same.
+    Allocates nothing under [Tag_model]; the other models price through
+    their per-direction functions. *)
+
 val model_name : model -> string

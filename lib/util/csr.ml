@@ -432,14 +432,40 @@ module Window = struct
 
   let last_dirty w = w.dirty
   let last_recomputed w = w.recomputed
-  let row w r = (w.rows_cols.(r), w.rows_vals.(r))
+
+  (* A cached sum divided by the window length can underflow to [0.]
+     (one [5e-324] cell over two epochs); such cells are dropped, as
+     [Traffic_matrix.mean_csr] drops them, so the row keeps the CSR
+     contract that stored values are [> 0].  The cached column array is
+     shared when nothing is dropped. *)
+  let mean_row w r =
+    let k = divisor w in
+    let cols = w.rows_cols.(r) and sums = w.rows_vals.(r) in
+    let len = Array.length cols in
+    let vals = Array.make len 0. in
+    let kept = ref 0 in
+    for q = 0 to len - 1 do
+      let v = sums.(q) /. k in
+      vals.(q) <- v;
+      if v > 0. then incr kept
+    done;
+    if !kept = len then (cols, vals)
+    else begin
+      let kc = Array.make !kept 0 and kv = Array.make !kept 0. in
+      let p = ref 0 in
+      for q = 0 to len - 1 do
+        if vals.(q) > 0. then begin
+          kc.(!p) <- cols.(q);
+          kv.(!p) <- vals.(q);
+          incr p
+        end
+      done;
+      (kc, kv)
+    end
 
   let mean w =
     if w.pushes = 0 then invalid_arg "Csr.Window.mean: empty window";
-    let k = divisor w in
-    of_sorted_rows ~n:w.wn
-      (Array.init w.wn (fun r ->
-           (w.rows_cols.(r), Array.map (fun s -> s /. k) w.rows_vals.(r))))
+    of_sorted_rows ~n:w.wn (Array.init w.wn (mean_row w))
 
   let epoch w i =
     let len = length w in

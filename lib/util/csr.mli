@@ -154,14 +154,17 @@ module Window : sig
   val last_recomputed : w -> int
   (** Rows re-folded by the last push (dirty superset; cost proxy). *)
 
-  val row : w -> int -> int array * float array
-  (** Row [r]'s windowed column sums [(cols, sums)], columns ascending,
-      sums {e not} yet divided by {!divisor}.  Shared with the cache —
-      do not mutate. *)
+  val mean_row : w -> int -> int array * float array
+  (** Row [r] of {!mean}: [(cols, vals)], columns ascending, each cached
+      sum divided by {!divisor}.  Cells whose quotient underflows to
+      [0.] are dropped, as [Traffic_matrix.mean_csr] drops them.  [cols]
+      is shared with the cache when nothing is dropped — do not
+      mutate. *)
 
   val mean : w -> t
-  (** The windowed mean matrix; bit-identical to
-      [Traffic_matrix.mean_csr] over {!epochs}.
+  (** The windowed mean matrix, {!mean_row} for every row; bit-identical
+      to [Traffic_matrix.mean_csr] over {!epochs}, subnormal sums
+      included.
       @raise Invalid_argument on an empty window. *)
 
   val epoch : w -> int -> t

@@ -121,6 +121,198 @@ let test_state_server_locations () =
   Alcotest.(check (list (pair int int))) "comp2" [ (s1, 1) ] locations.(2);
   Alcotest.(check (list (pair int int))) "comp1 empty" [] locations.(1)
 
+(* {1 Refusal before recursion: [Alloc_state.uplink_refuses]}
+
+   Cases sit under one ToR of a two-rack tree whose servers have room for
+   any sub-group.  The ToR holds a random base placement, synced for real,
+   so its baseline is a real [sync_bw]'s.  Its residual is then set near
+   one sub-group's need (exactly at it, a hair either side, or anywhere),
+   so refusals and near misses both occur.  Whenever the predicate
+   refuses, placing any nonzero sub-group of the group on the ToR's
+   server and syncing the ToR must fail. *)
+
+let refuse_spec =
+  {
+    Tree.degrees = [ 2; 2 ];
+    slots_per_server = 500;
+    server_up_mbps = 1e7;
+    oversub = [ 1. ];
+  }
+
+let refuse_tag_gen =
+  let open QCheck.Gen in
+  let* n_comp = int_range 1 4 in
+  let* n_ext = int_range 0 1 in
+  let* sizes = list_repeat n_comp (int_range 1 6) in
+  let* vm_slots = list_repeat n_comp (int_range 1 3) in
+  let n_total = n_comp + n_ext in
+  let pairs =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if i >= n_comp && j >= n_comp then None else Some (i, j))
+          (List.init n_total Fun.id))
+      (List.init n_total Fun.id)
+  in
+  let pick (i, j) =
+    let* keep = bool in
+    if not keep then return None
+    else
+      let* s = float_range 0. 1000. in
+      if i = j then return (Some (i, j, s, s))
+      else
+        let* r = float_range 0. 1000. in
+        return (Some (i, j, s, r))
+  in
+  let* edges = flatten_l (List.map pick pairs) in
+  return
+    (Tag.create ~vm_slots
+       ~externals:(List.init n_ext (Printf.sprintf "x%d"))
+       ~components:(List.mapi (fun i n -> (Printf.sprintf "c%d" i, n)) sizes)
+       ~edges:(List.filter_map Fun.id edges)
+       ())
+
+(* A residual relative to one sub-group's need: the sub-group's index
+   (taken modulo their number), a factor on its need, and an amount
+   taken off it, inside or outside the fit test's [bw_epsilon]. *)
+let residual_gen =
+  let open QCheck.Gen in
+  triple nat
+    (frequency
+       [
+         (2, return 1.);
+         (1, return (1. -. 1e-12));
+         (1, return (1. +. 1e-12));
+         (1, return 0.);
+         (3, float_range 0. 1.5);
+       ])
+    (oneofl [ 0.; 0.5 *. Tree.bw_epsilon; 2. *. Tree.bw_epsilon ])
+
+let refuse_case =
+  let open QCheck.Gen in
+  let gen =
+    let* tag = refuse_tag_gen in
+    let n = Tag.n_components tag in
+    let* model =
+      oneofl Bandwidth.[ Tag_model; Hose_model; Voc_model ]
+    in
+    let* base =
+      flatten_l (List.init n (fun c -> int_range 0 (Tag.size tag c)))
+    in
+    let base = Array.of_list base in
+    let* a = int_range 0 (n - 1) in
+    let* b = int_range 0 (n - 1) in
+    let* two = bool in
+    let* fa = float_range 0. 1. and* fb = float_range 0. 1. in
+    let group = Array.make n 0 in
+    let take c f =
+      let room = Tag.size tag c - base.(c) in
+      group.(c) <- (if room = 0 then 0 else 1 + int_of_float (f *. float_of_int (room - 1)))
+    in
+    take a fa;
+    if two && b <> a then take b fb;
+    let* up = residual_gen and* down = residual_gen in
+    return (tag, model, base, group, up, down)
+  in
+  let print (tag, model, base, group, (iu, fu, ou), (id, fd, od)) =
+    let ints a = String.concat "; " (Array.to_list (Array.map string_of_int a)) in
+    Printf.sprintf
+      "%s\nmodel %s\nbase [%s]\ngroup [%s]\nup %d %h %h, down %d %h %h"
+      (Tag.to_string tag) (Bandwidth.model_name model) (ints base) (ints group)
+      iu fu ou id fd od
+  in
+  QCheck.make ~print gen
+
+(* Every nonzero [y <= group], in lexicographic order. *)
+let sub_groups group =
+  let n = Array.length group in
+  let rec go c acc =
+    if c = n then [ Array.of_list (List.rev acc) ]
+    else List.concat_map (fun k -> go (c + 1) (k :: acc)) (List.init (group.(c) + 1) Fun.id)
+  in
+  List.filter (Array.exists (fun k -> k > 0)) (go 0 [])
+
+let prop_uplink_refuses_sound =
+  QCheck.Test.make ~name:"uplink_refuses only when every sub-group fails sync"
+    ~count:1000 refuse_case
+    (fun (tag, model, base, group, (iu, fu, ou), (id, fd, od)) ->
+      let tree = Tree.create refuse_spec in
+      let server = (Tree.servers tree).(0) in
+      let node = Option.get (Tree.parent tree server) in
+      let st = Alloc_state.create ~model tree tag in
+      Array.iteri
+        (fun comp n -> assert (Alloc_state.place st ~server ~comp ~n))
+        base;
+      assert (Alloc_state.sync_bw st ~node);
+      let cur_up = Tree.reserved_up tree node
+      and cur_down = Tree.reserved_down tree node in
+      let subs = Array.of_list (sub_groups group) in
+      if Array.length subs = 0 then
+        not (Alloc_state.uplink_refuses st ~node ~group)
+      else begin
+        let need y =
+          let inside = Array.mapi (fun c k -> base.(c) + k) y in
+          let up, down = Bandwidth.required model tag ~inside in
+          (up -. cur_up, down -. cur_down)
+        in
+        let residual i f off dir =
+          Float.max 0.
+            ((f *. dir (need subs.(i mod Array.length subs))) -. off)
+        in
+        let cap = Tree.uplink_capacity tree node in
+        Tree.unchecked_set_bw tree ~node
+          ~up:(cap -. residual iu fu ou fst)
+          ~down:(cap -. residual id fd od snd);
+        (not (Alloc_state.uplink_refuses st ~node ~group))
+        || Array.for_all
+             (fun y ->
+               let cp = Alloc_state.checkpoint st in
+               Array.iteri
+                 (fun comp n -> assert (Alloc_state.place st ~server ~comp ~n))
+                 y;
+               let synced = Alloc_state.sync_bw st ~node in
+               Alloc_state.rollback_to st cp;
+               not synced)
+             subs
+      end)
+
+(* An 8-VM hose with one VM under a ToR whose uplink has nothing left:
+   one or two more VMs there raise its requirement, so the TAG model
+   refuses.  Pipe accounting is
+   bilinear, not concave, and is never refused. *)
+let refuse_setup model =
+  let tree = Tree.create refuse_spec in
+  let server = (Tree.servers tree).(0) in
+  let node = Option.get (Tree.parent tree server) in
+  let tag = Tag.hose ~tier:"t" ~size:8 ~bw:10. () in
+  let st = Alloc_state.create ~model tree tag in
+  assert (Alloc_state.place st ~server ~comp:0 ~n:1);
+  assert (Alloc_state.sync_bw st ~node);
+  let cap = Tree.uplink_capacity tree node in
+  Tree.unchecked_set_bw tree ~node ~up:cap ~down:cap;
+  (st, node)
+
+let test_state_refuses_tag_not_pipe () =
+  let group = [| 2 |] in
+  let st, node = refuse_setup Bandwidth.Tag_model in
+  Alcotest.(check bool) "TAG refuses a full uplink" true
+    (Alloc_state.uplink_refuses st ~node ~group);
+  let st, node = refuse_setup Bandwidth.Pipe_model in
+  Alcotest.(check bool) "pipe is never refused" false
+    (Alloc_state.uplink_refuses st ~node ~group)
+
+let test_state_refuses_allocates_nothing () =
+  let st, node = refuse_setup Bandwidth.Tag_model in
+  let group = [| 2 |] in
+  let refused = ref true in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    refused := !refused && Alloc_state.uplink_refuses st ~node ~group
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "refused every time" true !refused;
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* {1 Subtree helpers} *)
 
 let test_subtree_all_under () =
@@ -523,6 +715,11 @@ let () =
             test_state_rollback_checkpoint;
           Alcotest.test_case "ha cap" `Quick test_state_ha_cap;
           Alcotest.test_case "server locations" `Quick test_state_server_locations;
+          Alcotest.test_case "refuses under TAG, never under pipe" `Quick
+            test_state_refuses_tag_not_pipe;
+          Alcotest.test_case "refusal test allocates nothing" `Quick
+            test_state_refuses_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_uplink_refuses_sound;
         ] );
       ( "subtree",
         [

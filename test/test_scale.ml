@@ -408,7 +408,9 @@ let test_batch_conflict_path () =
 
 let golden_shard_md5 = "0d05bea248d4f4beeff6049a26d43c09"
 
-let golden_shard_trace () =
+(* [epochs] batches; after each, every live tenant departs with
+   probability [1 / leave]. *)
+let golden_shard_trace ~epochs ~leave =
   let pool =
     Cm_workload.Pool.scale_to_bmax
       (Cm_workload.Pool.bing_like ~seed:1 ())
@@ -439,15 +441,16 @@ let golden_shard_trace () =
   in
   let live = ref [] in
   let digests =
-    List.init 8 (fun _ ->
+    List.init epochs (fun _ ->
         let results =
           Shard.place_batch ~domains:1 shard (List.init 32 (fun _ -> deal ()))
         in
-        (* Each live tenant, oldest first, departs with probability 1/4. *)
+        (* Each live tenant, oldest first, departs with probability
+           1/leave. *)
         live :=
           List.filter
             (fun p ->
-              if Rng.int rng 4 = 0 then begin
+              if Rng.int rng leave = 0 then begin
                 Shard.release shard p;
                 false
               end
@@ -458,10 +461,30 @@ let golden_shard_trace () =
   (Array.exists (fun t -> Tag.total_vms t = 732) tags, digests)
 
 let test_golden_shard () =
-  let has_mesh, digests = golden_shard_trace () in
+  let has_mesh, digests = golden_shard_trace ~epochs:8 ~leave:4 in
   Alcotest.(check bool) "pool holds the 732-VM tenant" true has_mesh;
   Alcotest.(check string) "batch decisions match the pre-optimisation capture"
     golden_shard_md5
+    (Digest.to_hex (Digest.string (String.concat "#" digests)))
+
+(* {1 Refusal before recursion: a trace where it fires}
+
+   The same tree, pool and dealing as above, over sixteen epochs with an
+   eighth of the live tenants departing after each, so the tree fills
+   and Colocate meets switch children whose uplinks refuse the whole
+   group.  The MD5 was captured before [Alloc_state.uplink_refuses]
+   existed: skipping those children must change no decision. *)
+
+let golden_prune_md5 = "92f8da64f4902afb271606152b198c25"
+
+let test_golden_prune () =
+  let pruned = Metrics.counter "cm.alloc.pruned" in
+  let before = Metrics.counter_value pruned in
+  let _, digests = golden_shard_trace ~epochs:16 ~leave:8 in
+  Alcotest.(check bool) "some Colocate child was skipped" true
+    (Metrics.counter_value pruned > before);
+  Alcotest.(check string) "batch decisions match the capture without the skip"
+    golden_prune_md5
     (Digest.to_hex (Digest.string (String.concat "#" digests)))
 
 (* {1 Batched arrival loop golden}
@@ -565,6 +588,8 @@ let () =
             test_batch_conflict_path;
           Alcotest.test_case "seeded batch trace decision golden" `Quick
             test_golden_shard;
+          Alcotest.test_case "refusal skip fires, decisions unchanged" `Quick
+            test_golden_prune;
           Alcotest.test_case "pod geometry and validation" `Quick
             test_shard_geometry;
           Alcotest.test_case "run_batched digest golden" `Quick

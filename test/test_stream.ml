@@ -43,6 +43,19 @@ let random_epoch rng n =
 
 (* {1 Csr.Window} *)
 
+(* Like [random_epoch], but a quarter of the cells are subnormal (one to
+   three times [5e-324]), so windowed sums divided by the window length
+   round, and some underflow to [0.]. *)
+let random_tiny_epoch rng n =
+  Csr.of_dense
+    (Array.init n (fun i ->
+         Array.init n (fun j ->
+             if i <> j && Rng.uniform rng < 0.3 then
+               if Rng.uniform rng < 0.25 then
+                 float_of_int (1 + Rng.int rng 3) *. 5e-324
+               else 1. +. (Rng.uniform rng *. 10.)
+             else 0.)))
+
 let prop_window_mean_bitwise =
   QCheck.Test.make ~name:"window mean is bitwise mean_csr of its epochs"
     ~count:40
@@ -52,7 +65,7 @@ let prop_window_mean_bitwise =
       let w = Window.create ~n ~capacity:cap in
       let ok = ref true in
       for t = 0 to cap + 3 do
-        let e = random_epoch rng n in
+        let e = random_tiny_epoch rng n in
         Window.push w e;
         ok := !ok && Window.pushes w = t + 1;
         ok := !ok && Window.length w = min (t + 1) cap;
@@ -280,6 +293,35 @@ let test_stream_tiny_rates () =
   match Stream.verify s with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
+
+let test_stream_subnormal_window () =
+  (* One 5e-324 cell over a 2-epoch window divides to 0.: the windowed
+     mean and the mean mirrors must drop it, as [mean_csr] does.  The
+     second push is a full tick while the window fills; later pushes
+     change only row 0, so they patch the mirrors incrementally. *)
+  let n = 8 in
+  let epoch tiny =
+    Csr.of_dense
+      (Array.init n (fun i ->
+           Array.init n (fun j ->
+               if i = j then 0.
+               else if i = 0 && j = 1 then if tiny then 5e-324 else 0.
+               else if (i + j) mod 3 = 0 then 1. +. float_of_int i
+               else 0.)))
+  in
+  let s = Stream.create ~config:{ Stream.default_config with window = 2 } ~n () in
+  let full =
+    List.map
+      (fun tiny ->
+        let st = Stream.push s (epoch tiny) in
+        (match Stream.verify s with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "tick %d: %s" st.Stream.tick msg);
+        st.Stream.full)
+      [ true; false; false; true; true; false; false ]
+  in
+  Alcotest.(check (list bool)) "full ticks only while the window fills"
+    [ true; true; false; false; false; false; false ] full
 
 let test_stream_accessors_before_push () =
   let s = Stream.create ~n:4 () in
@@ -626,6 +668,8 @@ let () =
             test_stream_benchmark_shape;
           Alcotest.test_case "tiny rates stay incremental" `Quick
             test_stream_tiny_rates;
+          Alcotest.test_case "subnormal cell over a 2-epoch window" `Quick
+            test_stream_subnormal_window;
         ] );
       ( "drift-events",
         [
