@@ -1,10 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 5 plus the motivating figures), then runs Bechamel
-   microbenchmarks of placement runtime.
+   evaluation (Sec. 5 plus the motivating figures), then runs the
+   placement, enforcement and inference scale benchmarks.
 
    The section list is data (Cm_experiments.Experiments.sections), not a
-   hand-maintained match: this file only appends the Bechamel-based
-   "runtime" section, so harness and experiment library cannot drift.
+   hand-maintained match: this file only appends the scale-benchmark
+   sections, so harness and experiment library cannot drift.  Placement
+   runtime per tenant size is the library's "runtime-probe" section.
 
    Usage:
      dune exec bench/main.exe                 -- run everything, paper scale
@@ -21,10 +22,6 @@ module Metrics = Cm_obs.Metrics
 module Span = Cm_obs.Span
 module Json = Cm_obs.Json
 
-module Log = Obs_log.Make (struct
-  let name = "bench"
-end)
-
 let requested : string list ref = ref []
 let params = ref E.default_params
 let metrics_out : string option ref = ref None
@@ -39,7 +36,6 @@ let known_sections =
       "enforce-scale";
       "inference";
       "inference-stream";
-      "runtime";
     ]
 
 let usage oc =
@@ -973,99 +969,6 @@ let inference_stream_bench () =
           5x bar"
          !speedup_last !n_max)
 
-(* Bechamel microbenchmarks of the placement algorithms: each benchmarked
-   function places one tenant on a warm datacenter and releases it. *)
-let runtime_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let pool =
-    Cm_workload.Pool.scale_to_bmax
-      (Cm_workload.Pool.bing_like ~seed:!params.seed ())
-      ~bmax:800.
-  in
-  let closest size =
-    Array.to_list pool.tags
-    |> List.map (fun tag -> (abs (Cm_tag.Tag.total_vms tag - size), tag))
-    |> List.sort compare |> List.hd |> snd
-  in
-  let make_case ~name make size =
-    let tag = closest size in
-    let tree = Cm_topology.Tree.create_default () in
-    let sched = make tree in
-    let run () =
-      match sched.Cm_sim.Driver.place (Cm_placement.Types.request tag) with
-      | Ok p -> sched.Cm_sim.Driver.release p
-      | Error _ -> ()
-    in
-    Test.make
-      ~name:
-        (Printf.sprintf "%s/%d-vms" name (Cm_tag.Tag.total_vms tag))
-      (Staged.stage run)
-  in
-  let tests =
-    Test.make_grouped ~name:"placement"
-      [
-        make_case ~name:"CM" Cm_sim.Driver.cm 25;
-        make_case ~name:"CM" Cm_sim.Driver.cm 57;
-        make_case ~name:"CM" Cm_sim.Driver.cm 200;
-        make_case ~name:"CM" Cm_sim.Driver.cm 732;
-        make_case ~name:"OVOC" Cm_sim.Driver.oktopus 25;
-        make_case ~name:"OVOC" Cm_sim.Driver.oktopus 57;
-        make_case ~name:"OVOC" Cm_sim.Driver.oktopus 200;
-        make_case ~name:"OVOC" Cm_sim.Driver.oktopus 732;
-        make_case ~name:"SecondNet" Cm_sim.Driver.secondnet 25;
-        make_case ~name:"SecondNet" Cm_sim.Driver.secondnet 57;
-      ]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let table =
-    Table.create
-      ~caption:
-        "Placement runtime (Bechamel, ns/run; paper: CM ~200 ms for 100s of \
-         VMs in Python - our OCaml implementation is faster in absolute \
-         terms, the CM-vs-OVOC parity and the SecondNet gap are the \
-         reproduced shape)"
-      [ ("benchmark", Table.Left); ("time per placement", Table.Right) ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ e ] -> e
-        | Some (e :: _) -> e
-        | Some [] | None -> nan
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) ->
-      let cell =
-        if Float.is_nan ns then begin
-          Log.warn (fun m ->
-              m
-                "Bechamel OLS produced no run-time estimate for %S \
-                 (insufficient samples within the quota?); rendering n/a"
-                name);
-          "n/a"
-        end
-        else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else Printf.sprintf "%.0f us" (ns /. 1e3)
-      in
-      Table.add_row table [ name; cell ])
-    (List.sort compare !rows);
-  Table.print table
-
 let write_metrics path =
   let p = !params in
   let extra =
@@ -1109,7 +1012,6 @@ let () =
       Span.with_ "section.inference" inference_bench);
   section "inference-stream" (fun () ->
       Span.with_ "section.inference_stream" inference_stream_bench);
-  section "runtime" (fun () -> Span.with_ "section.runtime" runtime_bechamel);
   (match !metrics_out with Some path -> write_metrics path | None -> ());
   (match !trace_out with
   | Some path ->

@@ -141,19 +141,53 @@ let arrivals_t =
   let doc = "Poisson arrivals per simulated point (paper: 10000)." in
   Arg.(value & opt int 2000 & info [ "arrivals" ] ~docv:"N" ~doc)
 
+(* A float value that must satisfy [ok], described by [what] in the
+   error, so a bad value is refused here with exit 124. *)
+let checked_float ok what =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.float s) (fun x ->
+        if ok x then Ok x
+        else Error (`Msg (Printf.sprintf "%S is not %s" s what)))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let positive_float =
+  checked_float (fun x -> Float.is_finite x && x > 0.) "a finite number > 0"
+
 let bmax_t =
   let doc = "Bmax scaling target in Mbps (paper sweeps 400-1200)." in
-  Arg.(value & opt float 800. & info [ "bmax" ] ~docv:"MBPS" ~doc)
+  Arg.(value & opt positive_float 800. & info [ "bmax" ] ~docv:"MBPS" ~doc)
 
 let load_t =
-  let doc = "Offered datacenter load in (0,1]." in
-  Arg.(value & opt float 0.9 & info [ "load" ] ~docv:"LOAD" ~doc)
+  let doc = "Offered datacenter load, > 0 (1 = every slot busy)." in
+  Arg.(value & opt positive_float 0.9 & info [ "load" ] ~docv:"LOAD" ~doc)
+
+let rwcs_t =
+  let doc = "Guarantee this worst-case survivability in [0, 1) (0 = no HA)." in
+  let fraction = checked_float (fun x -> x >= 0. && x < 1.) "in [0, 1)" in
+  Arg.(value & opt fraction 0. & info [ "rwcs" ] ~docv:"FRACTION" ~doc)
+
+let examples =
+  [
+    ( "three-tier",
+      Cm_tag.Examples.three_tier ~n_web:8 ~n_logic:8 ~n_db:8 ~b1:500. ~b2:100.
+        ~b3:50. () );
+    ("storm", Cm_tag.Examples.storm ~s:8 ~b:200.);
+    ("fig6", Cm_tag.Examples.fig6 ());
+    ("batch", Cm_tag.Examples.batch ~size:32 ~bw:300. ());
+  ]
+
+let example_t =
+  let doc = "Example tenant: " ^ Arg.doc_alts_enum examples ^ "." in
+  Arg.(
+    value
+    & pos 0 (enum examples) (List.assoc "three-tier" examples)
+    & info [] ~docv:"TENANT" ~doc)
 
 (* {1 experiment command} *)
 
 (* "runtime" predates the sections table and maps to the wall-clock
-   probe ("runtime-probe" there; the Bechamel microbenchmarks live in
-   bench/main.exe). *)
+   probe ("runtime-probe" there). *)
 let experiment_names =
   E.section_names @ [ "runtime" ]
 
@@ -247,22 +281,12 @@ let pool_cmd =
 
 (* {1 place command} *)
 
-let example_tag = function
-  | "three-tier" ->
-      Cm_tag.Examples.three_tier ~n_web:8 ~n_logic:8 ~n_db:8 ~b1:500. ~b2:100.
-        ~b3:50. ()
-  | "storm" -> Cm_tag.Examples.storm ~s:8 ~b:200.
-  | "fig6" -> Cm_tag.Examples.fig6 ()
-  | "batch" -> Cm_tag.Examples.batch ~size:32 ~bw:300. ()
-  | other -> invalid_arg (Printf.sprintf "unknown example tenant %S" other)
-
 let run_place metrics example file alg rwcs =
   Fun.protect ~finally:(fun () -> finish_metrics metrics) @@ fun () ->
   match
     match file with
     | Some path -> Cm_tag.Tag_format.of_file path
-    | None -> (
-        try Ok (example_tag example) with Invalid_argument m -> Error m)
+    | None -> Ok example
   with
   | Error m -> `Error (false, m)
   | Ok tag ->
@@ -309,10 +333,6 @@ let run_place metrics example file alg rwcs =
       `Ok ()
 
 let place_cmd =
-  let example_t =
-    let doc = "Example tenant: three-tier, storm, fig6 or batch." in
-    Arg.(value & pos 0 string "three-tier" & info [] ~docv:"TENANT" ~doc)
-  in
   let file_t =
     let doc =
       "Read the tenant from a TAG file instead (see Cm_tag.Tag_format for \
@@ -324,10 +344,6 @@ let place_cmd =
     let doc = "Placement algorithm: cm, ovoc or secondnet." in
     let algs = [ ("cm", `Cm); ("ovoc", `Ovoc); ("secondnet", `Secondnet) ] in
     Arg.(value & opt (enum algs) `Cm & info [ "alg" ] ~docv:"ALG" ~doc)
-  in
-  let rwcs_t =
-    let doc = "Guarantee this worst-case survivability (0 = no HA)." in
-    Arg.(value & opt float 0. & info [ "rwcs" ] ~docv:"FRACTION" ~doc)
   in
   let doc = "Place an example tenant on the default 2048-server datacenter." in
   Cmd.v (Cmd.info "place" ~doc)
@@ -352,30 +368,20 @@ let run_infer example csv seed =
             Tag.pp r.inferred;
           `Ok ()
     end
-  | None -> begin
-      match
-        (try Ok (example_tag example) with Invalid_argument m -> Error m)
-      with
-      | Error m -> `Error (false, m)
-      | Ok tag ->
-          let rng = Cm_util.Rng.create seed in
-          let tm =
-            Cm_inference.Traffic_matrix.generate ~imbalance:0.9
-              ~noise_prob:0.05 ~rng tag
-          in
-          let r = Cm_inference.Infer.infer tm in
-          Format.printf "ground truth:@.%a@." Tag.pp tag;
-          (match r.ami_vs_truth with
-          | Some a -> Format.printf "inferred (AMI %.2f):@.%a@." a Tag.pp r.inferred
-          | None -> Format.printf "inferred:@.%a@." Tag.pp r.inferred);
-          `Ok ()
-    end
+  | None ->
+      let rng = Cm_util.Rng.create seed in
+      let tm =
+        Cm_inference.Traffic_matrix.generate ~imbalance:0.9 ~noise_prob:0.05
+          ~rng example
+      in
+      let r = Cm_inference.Infer.infer tm in
+      Format.printf "ground truth:@.%a@." Tag.pp example;
+      (match r.ami_vs_truth with
+      | Some a -> Format.printf "inferred (AMI %.2f):@.%a@." a Tag.pp r.inferred
+      | None -> Format.printf "inferred:@.%a@." Tag.pp r.inferred);
+      `Ok ()
 
 let infer_cmd =
-  let example_t =
-    let doc = "Example tenant to generate traffic from." in
-    Arg.(value & pos 0 string "three-tier" & info [] ~docv:"TENANT" ~doc)
-  in
   let csv_t =
     let doc = "Infer from a measured CSV matrix (epoch,src,dst,rate)." in
     Arg.(value & opt (some file) None & info [ "csv" ] ~docv:"FILE" ~doc)
@@ -469,10 +475,6 @@ let simulate_cmd =
     let algs = [ ("cm", `Cm); ("cm+opp", `Cm_opp); ("ovoc", `Ovoc) ] in
     Arg.(value & opt (enum algs) `Cm & info [ "alg" ] ~docv:"ALG" ~doc)
   in
-  let rwcs_t =
-    let doc = "Guarantee this WCS for every tenant (0 = none)." in
-    Arg.(value & opt float 0. & info [ "rwcs" ] ~docv:"FRACTION" ~doc)
-  in
   let replicates_t =
     let doc =
       "Run this many independent replications (seeds SEED, SEED+1, ...) \
@@ -492,14 +494,10 @@ let simulate_cmd =
 
 (* {1 scale command} *)
 
-let run_scale example sizes =
-  match
-    (try Ok (example_tag example) with Invalid_argument m -> Error m)
-  with
-  | Error m -> `Error (false, m)
-  | Ok _ when List.exists (fun n -> n < 1) sizes ->
-      `Error (true, "--sizes: every size must be >= 1")
-  | Ok tag ->
+let run_scale tag sizes =
+  if List.exists (fun n -> n < 1) sizes then
+    `Error (true, "--sizes: every size must be >= 1")
+  else begin
       let tree = Tree.create_default () in
       let sched = Cm_placement.Cm.create tree in
       (match Cm_placement.Cm.place sched (Types.request tag) with
@@ -531,12 +529,9 @@ let run_scale example sizes =
             sizes;
           Cm_placement.Cm.release sched !placement);
       `Ok ()
+  end
 
 let scale_cmd =
-  let example_t =
-    let doc = "Example tenant: three-tier, storm, fig6 or batch." in
-    Arg.(value & pos 0 string "three-tier" & info [] ~docv:"TENANT" ~doc)
-  in
   let sizes_t =
     let doc = "Comma-separated target sizes for the first tier." in
     Arg.(
@@ -553,16 +548,12 @@ let scale_cmd =
 
 (* {1 failures command} *)
 
-let run_failures example rwcs laa =
+let run_failures tag rwcs laa =
   let tree = Tree.create_default () in
   let top = Tree.n_levels tree - 1 in
-  match
-    (try Ok (example_tag example) with Invalid_argument m -> Error m)
-  with
-  | Error m -> `Error (false, m)
-  | Ok _ when laa < 0 || laa > top ->
-      `Error (true, Printf.sprintf "--level: must be in 0..%d" top)
-  | Ok tag ->
+  if laa < 0 || laa > top then
+    `Error (true, Printf.sprintf "--level: must be in 0..%d" top)
+  else begin
       let sched = Cm_placement.Cm.create tree in
       let ha =
         if rwcs > 0. then Some { Types.rwcs; laa_level = laa } else None
@@ -592,16 +583,9 @@ let run_failures example rwcs laa =
                 (100. *. o.mean_survival.(c)))
             o.predicted_wcs);
       `Ok ()
+  end
 
 let failures_cmd =
-  let example_t =
-    let doc = "Example tenant: three-tier, storm, fig6 or batch." in
-    Arg.(value & pos 0 string "three-tier" & info [] ~docv:"TENANT" ~doc)
-  in
-  let rwcs_t =
-    let doc = "Guarantee this WCS before injecting (0 = no guarantee)." in
-    Arg.(value & opt float 0. & info [ "rwcs" ] ~docv:"FRACTION" ~doc)
-  in
   let laa_t =
     let doc =
       "Fault-domain level: 0 = server, 1 = rack, up to 3 = the whole \

@@ -1,6 +1,6 @@
 module Csr = Cm_util.Csr
 
-let projection_csr (m : Csr.t) =
+let projection_csr ?(prescale = true) (m : Csr.t) =
   let n = m.Csr.n in
   let mt = Csr.transpose m in
   (* VM i's sparse feature vector: row i of [m] (feature dim = column)
@@ -8,17 +8,32 @@ let projection_csr (m : Csr.t) =
      ascending — exactly the nonzeros of the dense feature vector in
      dim order, so every sum below reproduces the dense one bit for bit
      (the skipped terms multiply or add a [0.], a no-op on non-negative
-     accumulators). *)
+     accumulators).  Cosine is scale-free, so every value is first
+     scaled by the power of two that puts the largest in [0.5, 1): the
+     squared norms and dots then neither overflow (rates near 1e300) nor
+     underflow (rates near 1e-300), and since the scale is exact,
+     in-range inputs give the same bits. *)
+  let shift =
+    if prescale then
+      -snd (Float.frexp (Array.fold_left Float.max 0. m.Csr.values))
+    else 0
+  in
+  let scaled v =
+    if shift = 0 then v else Array.map (fun x -> Float.ldexp x shift) v
+  in
+  let mv = scaled m.Csr.values and tv = scaled mt.Csr.values in
+  let mrp = m.Csr.row_ptr and mci = m.Csr.col_idx in
+  let trp = mt.Csr.row_ptr and tci = mt.Csr.col_idx in
   let norms = Array.make n 0. in
-  let sq_sum (a : Csr.t) i acc =
+  let sq_sum rp v i acc =
     let acc = ref acc in
-    for p = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (a.Csr.values.(p) *. a.Csr.values.(p))
+    for p = rp.(i) to rp.(i + 1) - 1 do
+      acc := !acc +. (v.(p) *. v.(p))
     done;
     !acc
   in
   for i = 0 to n - 1 do
-    norms.(i) <- sq_sum mt i (sq_sum m i 0.)
+    norms.(i) <- sq_sum trp tv i (sq_sum mrp mv i 0.)
   done;
   (* All dot products against VMs j > i at once, via the inverted
      index: the owners of feature dim k < n are row k of [mt], the
@@ -28,8 +43,6 @@ let projection_csr (m : Csr.t) =
      handed to [of_upper]. *)
   let fr = Scatter.create n in
   let upper = Array.make n ([||], [||]) in
-  let mrp = m.Csr.row_ptr and mci = m.Csr.col_idx and mv = m.Csr.values in
-  let trp = mt.Csr.row_ptr and tci = mt.Csr.col_idx and tv = mt.Csr.values in
   (* First index in [lo, hi) of the ascending [ci] with entry > i, so
      owner scans start past the j <= i prefix already handled by
      symmetry. *)

@@ -210,7 +210,7 @@ let rows_csr n (cols : int array array) (vals : float array array) =
   Csr.of_sorted_rows ~n (Array.init n (fun i -> (cols.(i), vals.(i))))
 
 (* The similarity graph as a CSR matrix, both halves as stored —
-   bit-identical to [Similarity.projection_csr] of the current mean
+   bit-identical to [Similarity.projection_csr ~prescale:false] of the mean
    (asserted by [verify]). *)
 let projection t =
   started t;
@@ -535,7 +535,7 @@ let full_tick t =
   let mean = Window.mean t.win in
   load_mirrors t mean;
   t.rp_valid <- false;
-  t.g <- Louvain.of_csr (Similarity.projection_csr mean);
+  t.g <- Louvain.of_csr (Similarity.projection_csr ~prescale:false mean);
   let resolution = t.cfg.resolution in
   let labels = Louvain.cluster ~resolution ~frame:t.fr t.g in
   set_labels t labels;
@@ -869,7 +869,7 @@ let verify t =
         || rows_equal t.rp_cols t.rp_vals (row_parts_ref mean_ref))
     in
     (* Every row in full: full ticks and fallbacks cluster both halves. *)
-    let graph_ref = Similarity.projection_csr mean_ref in
+    let graph_ref = Similarity.projection_csr ~prescale:false mean_ref in
     let g = t.g in
     let* () =
       check "similarity graph"

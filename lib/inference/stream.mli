@@ -114,7 +114,8 @@ val verify : t -> (unit, string) result
 (** Recompute the batch pipeline over the current window and compare:
     [Ok ()] iff the windowed mean, its mirrors, the row-part cache (when
     valid: per VM, the partial dots over its row dims), the similarity
-    graph ({!Similarity.projection_csr}; every row in full, both halves)
+    graph ([Similarity.projection_csr ~prescale:false]; every row in
+    full, both halves)
     and its weighted degrees (each row summed in ascending column
     order), component sizes and guarantee peaks
     ({!Infer.component_peaks}) are bitwise equal, and the labels equal
@@ -142,7 +143,9 @@ val mean : t -> Cm_util.Csr.t
 val projection : t -> Cm_util.Csr.t
 (** Current similarity graph as a CSR snapshot of the engine's
     adjacency rows, both halves as stored (bit-identical to
-    [Similarity.projection_csr] of {!mean}). *)
+    [Similarity.projection_csr ~prescale:false] of {!mean}; the same
+    graph as the prescaled one unless similarity products leave the
+    float range). *)
 
 val window_epochs : t -> Cm_util.Csr.t array
 (** Retained epochs, oldest first. *)

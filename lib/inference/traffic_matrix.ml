@@ -449,16 +449,18 @@ let of_csv text =
                   Some
                     (Printf.sprintf "line %d: VM %d exceeds the limit of %d"
                        (lineno + 1) (max i j) max_csv_vms)
-            | Some _, Some _, Some _, Some x when not (Float.is_finite x) ->
-                err :=
-                  Some
-                    (Printf.sprintf "line %d: rate %S is not finite"
-                       (lineno + 1) rate)
-            | Some e, Some i, Some j, Some rate
-              when e >= 0 && i >= 0 && j >= 0 && rate >= 0. ->
-                max_epoch := max !max_epoch e;
-                max_vm := max !max_vm (max i j);
-                cells := (e, i, j, rate, lineno + 1) :: !cells
+            | Some e, Some i, Some j, Some x when e >= 0 && i >= 0 && j >= 0
+              -> (
+                match Tag.check_bandwidth x with
+                | Error why ->
+                    err :=
+                      Some
+                        (Printf.sprintf "line %d: rate %S %s" (lineno + 1) rate
+                           why)
+                | Ok () ->
+                    max_epoch := max !max_epoch e;
+                    max_vm := max !max_vm (max i j);
+                    cells := (e, i, j, x, lineno + 1) :: !cells)
             | _ ->
                 err :=
                   Some (Printf.sprintf "line %d: malformed cell" (lineno + 1))
@@ -492,10 +494,16 @@ let of_csv text =
         | _ -> ()
       in
       scan sorted);
+  (* Every aggregate inference forms (a cell's sum over epochs, a
+     component pair's rate in one epoch) is a sub-sum of the file's
+     total, so a total well inside the float range keeps them finite. *)
+  let total = List.fold_left (fun acc (_, _, _, r, _) -> acc +. r) 0. !cells in
   match !err with
   | Some m -> Error m
   | None ->
       if !max_vm < 0 then Error "no cells"
+      else if not (total <= Float.max_float /. 2.) then
+        Error (Printf.sprintf "rates sum to %g, past half the float range" total)
       else begin
         let n = !max_vm + 1 and k = !max_epoch + 1 in
         let rows = Array.init k (fun _ -> Array.make n []) in

@@ -118,5 +118,7 @@ val of_csv : string -> (t, string) result
     @return [Error] with a line-numbered message on malformed input,
     including a first line that is not the header, duplicate [(epoch,src,dst)] cells (previously the last
     line silently won), a negative or non-finite rate ([inf], [nan],
-    or a literal such as [1e999] that overflows), and an epoch or VM
-    index at or beyond {!max_csv_epochs} / {!max_csv_vms}. *)
+    or a literal such as [1e999] that overflows), an epoch or VM
+    index at or beyond {!max_csv_epochs} / {!max_csv_vms}, and rates
+    whose sum passes half the float range (inference's aggregates would
+    overflow to [inf]). *)

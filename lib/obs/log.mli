@@ -48,9 +48,6 @@ val open_json_file : string -> unit
     on it.  The channel is flushed after every record and closed by
     {!set_sink} or at exit. *)
 
-val render_human : record -> string
-(** The [Stderr]/[Channel] line format, without the trailing newline. *)
-
 val render_json : record -> string
 (** The [Json_lines] object, without the trailing newline. *)
 

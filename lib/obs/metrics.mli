@@ -35,11 +35,8 @@ val histogram : ?buckets:float array -> string -> histogram
     increasing inclusive upper bounds; observations above the last bound
     land in an overflow bucket.  The bucket layout is fixed at first
     registration; a differing layout on re-registration raises.  The
-    default layout is {!default_buckets}. *)
-
-val default_buckets : float array
-(** Powers of two from 1 microsecond to ~537 seconds — suitable for
-    durations in seconds, the registry's most common payload. *)
+    default layout is powers of two from 1 microsecond to ~537 seconds,
+    for durations in seconds, the registry's most common payload. *)
 
 val observe : histogram -> float -> unit
 

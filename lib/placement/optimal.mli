@@ -18,6 +18,3 @@ val feasible :
     is left untouched.
     @raise Invalid_argument if the search space exceeds ~2 million
     states (guardrail against accidental blow-up). *)
-
-val search_space : Cm_topology.Tree.t -> Cm_tag.Tag.t -> float
-(** Number of assignments {!feasible} would enumerate (before pruning). *)

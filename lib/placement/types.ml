@@ -4,7 +4,7 @@ type request = { tag : Cm_tag.Tag.t; ha : ha_spec option }
 let request ?ha tag =
   (match ha with
   | Some { rwcs; laa_level } ->
-      if rwcs < 0. || rwcs >= 1. then
+      if not (rwcs >= 0. && rwcs < 1.) then
         invalid_arg "Types.request: rwcs must be in [0, 1)";
       if laa_level < 0 then invalid_arg "Types.request: negative laa_level"
   | None -> ());

@@ -84,7 +84,8 @@ let max_wcs r =
 
 (* The paper's load definition solved for the Poisson arrival rate. *)
 let arrival_rate fn tree pool config =
-  if config.load <= 0. then invalid_arg (fn ^ ": load must be positive");
+  if not (Float.is_finite config.load && config.load > 0.) then
+    invalid_arg (fn ^ ": load must be finite and > 0");
   config.load
   *. float_of_int (Tree.total_slots tree)
   /. (Pool.mean_size pool *. config.dwell_time)

@@ -80,7 +80,8 @@ val run_batched :
     against epoch-start state, and departures due inside an epoch take
     effect at the next epoch boundary.  [?series_prefix] samples the
     same series as {!run}.
-    @raise Invalid_argument unless [load] and [epoch] are positive. *)
+    @raise Invalid_argument unless [load] is finite and positive and
+    [epoch] positive. *)
 
 (** {1 Failure campaign (§4.5 extended)}
 

@@ -6,11 +6,9 @@
     [inside.(c)] is the number of VMs of component [c] currently placed
     inside the subtree of interest; [Tag.size t c - inside.(c)] VMs are
     outside.  The returned value is the bandwidth (Mbps) that must be
-    reserved on the subtree's uplink in the stated direction. *)
-
-val check_inside : Tag.t -> int array -> unit
-(** Validates [0 <= inside.(c) <= size c] and array length; raises
-    [Invalid_argument] otherwise.  All entry points call it. *)
+    reserved on the subtree's uplink in the stated direction.  Every
+    function raises [Invalid_argument] unless [inside] has one entry per
+    component with [0 <= inside.(c) <= size c]. *)
 
 (** {1 TAG accounting — Eq. 1} *)
 

@@ -27,7 +27,7 @@ type t = {
 }
 
 (* The flat view depends on the component sizes, so every constructor of
-   a [t] — [create] and [with_size] — rebuilds it. *)
+   a [t] — [validate] and [with_size] — rebuilds it. *)
 let make_view components all_edges =
   let n_comp = Array.length components in
   let size i = if i < n_comp then components.(i).size else 0 in
@@ -48,57 +48,70 @@ let make_view components all_edges =
     dst_size = field (fun e -> size e.dst);
   }
 
-let validate ~n_components ~n_externals ~components ~edges =
-  if n_components = 0 then invalid_arg "Tag.create: no components";
-  List.iter
-    (fun (cname, size) ->
-      if size <= 0 then
-        invalid_arg
-          (Printf.sprintf "Tag.create: component %S has size %d" cname size))
-    components;
-  let n_total = n_components + n_externals in
-  let is_ext i = i >= n_components in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (src, dst, snd_bw, rcv_bw) ->
-      if src < 0 || src >= n_total || dst < 0 || dst >= n_total then
-        invalid_arg
-          (Printf.sprintf "Tag.create: edge (%d,%d) out of range" src dst);
-      if is_ext src && is_ext dst then
-        invalid_arg
-          (Printf.sprintf
-             "Tag.create: edge (%d,%d) connects two external components" src
-             dst);
-      if snd_bw < 0. || rcv_bw < 0. then
-        invalid_arg
-          (Printf.sprintf "Tag.create: edge (%d,%d) has negative bandwidth"
-             src dst);
-      if src = dst && snd_bw <> rcv_bw then
-        invalid_arg
-          (Printf.sprintf
-             "Tag.create: self-loop on %d must have a single SR value" src);
-      if Hashtbl.mem seen (src, dst) then
-        invalid_arg
-          (Printf.sprintf "Tag.create: duplicate edge (%d,%d)" src dst);
-      Hashtbl.add seen (src, dst) ())
-    edges
+let ( let* ) = Result.bind
 
-let create ?(name = "tag") ?(externals = []) ?vm_slots ~components ~edges () =
+let check_bandwidth x =
+  if not (Float.is_finite x) then Error "is not finite"
+  else if x < 0. then Error "is negative"
+  else Ok ()
+
+(* The first [Error] of [f] over [xs], if any. *)
+let first_error f xs =
+  List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) xs
+
+let validate ?(name = "tag") ?(externals = []) ?vm_slots ~components ~edges ()
+    =
+  let fail fmt = Printf.ksprintf Result.error fmt in
   let n_components = List.length components in
-  let n_externals = List.length externals in
-  validate ~n_components ~n_externals ~components ~edges;
-  let slot_costs =
-    match vm_slots with
-    | None -> List.map (fun _ -> 1) components
-    | Some costs ->
-        if List.length costs <> n_components then
-          invalid_arg "Tag.create: vm_slots length mismatch";
-        List.iter
-          (fun c ->
-            if c <= 0 then invalid_arg "Tag.create: non-positive vm_slots")
-          costs;
-        costs
+  let names = Array.of_list (List.map fst components @ externals) in
+  let n_total = Array.length names in
+  let is_ext i = i >= n_components in
+  let seen_names = Hashtbl.create n_total in
+  let check_name who =
+    if Hashtbl.mem seen_names who then fail "duplicate component name %S" who
+    else Ok (Hashtbl.add seen_names who ())
   in
+  let check_size (cname, size) =
+    if size <= 0 then fail "component %S has size %d" cname size else Ok ()
+  in
+  let seen_edges = Hashtbl.create 16 in
+  let check_edge (src, dst, snd_bw, rcv_bw) =
+    let edge () = Printf.sprintf "edge %s -> %s" names.(src) names.(dst) in
+    let check_bw what x =
+      Result.map_error
+        (fun why ->
+          Printf.sprintf "%s: %s bandwidth %g %s" (edge ()) what x why)
+        (check_bandwidth x)
+    in
+    if not (0 <= min src dst && max src dst < n_total) then
+      fail "edge (%d,%d) out of range" src dst
+    else if is_ext src && is_ext dst then
+      fail "%s connects two external components" (edge ())
+    else
+      let* () = check_bw "send" snd_bw in
+      let* () = check_bw "receive" rcv_bw in
+      if src = dst && snd_bw <> rcv_bw then
+        fail "self-loop on %S must have a single SR value" names.(src)
+      else if Hashtbl.mem seen_edges (src, dst) then
+        fail "duplicate %s" (edge ())
+      else Ok (Hashtbl.add seen_edges (src, dst) ())
+  in
+  let* () = if n_components = 0 then fail "no components" else Ok () in
+  let* () = first_error check_name (Array.to_list names) in
+  let* () = first_error check_size components in
+  let slot_costs =
+    Option.value vm_slots ~default:(List.map (fun _ -> 1) components)
+  in
+  let* () =
+    if List.length slot_costs <> n_components then
+      fail "vm_slots length mismatch"
+    else
+      first_error
+        (fun c ->
+          if c <= 0 then fail "vm_slots %d is not positive" c else Ok ())
+        slot_costs
+  in
+  let* () = first_error check_edge edges in
   let components =
     Array.of_list
       (List.map2
@@ -106,7 +119,6 @@ let create ?(name = "tag") ?(externals = []) ?vm_slots ~components ~edges () =
          components slot_costs)
   in
   let externals = Array.of_list externals in
-  let n_total = n_components + n_externals in
   let all_edges =
     Array.of_list
       (List.map
@@ -122,16 +134,22 @@ let create ?(name = "tag") ?(externals = []) ?vm_slots ~components ~edges () =
     incoming.(e.dst) <- e :: incoming.(e.dst);
     if e.src = e.dst then selfs.(e.src) <- Some e
   done;
-  {
-    tag_name = name;
-    components;
-    externals;
-    all_edges;
-    outgoing;
-    incoming;
-    selfs;
-    view = make_view components all_edges;
-  }
+  Ok
+    {
+      tag_name = name;
+      components;
+      externals;
+      all_edges;
+      outgoing;
+      incoming;
+      selfs;
+      view = make_view components all_edges;
+    }
+
+let create ?name ?externals ?vm_slots ~components ~edges () =
+  match validate ?name ?externals ?vm_slots ~components ~edges () with
+  | Ok t -> t
+  | Error msg -> invalid_arg ("Tag.create: " ^ msg)
 
 let hose ?(name = "hose") ~tier ~size ~bw () =
   create ~name ~components:[ (tier, size) ] ~edges:[ (0, 0, bw, bw) ] ()

@@ -35,16 +35,17 @@ type edge = private {
 
 type t
 
-val create :
+val validate :
   ?name:string ->
   ?externals:string list ->
   ?vm_slots:int list ->
   components:(string * int) list ->
   edges:(int * int * float * float) list ->
   unit ->
-  t
-(** [create ~components ~edges ()] builds and validates a TAG.
-    [components] is a list of [(name, size)]; [edges] of
+  (t, string) result
+(** [validate ~components ~edges ()] builds a TAG, or says which rule
+    the input breaks: it owns the TAG rules.  [components] is a list of
+    [(name, size)]; [edges] of
     [(src, dst, snd_bw, rcv_bw)] with component indices referring to
     positions in [components].
 
@@ -61,10 +62,23 @@ val create :
     [R] of the receiving tier); externals cannot have self-loops or
     edges to other externals.
 
-    @raise Invalid_argument if a size is non-positive, a bandwidth is
-    negative, an index is out of range, an edge is duplicated, a
-    self-loop has [snd_bw <> rcv_bw], or an external constraint is
-    violated. *)
+    Names are unique across components and externals, every bandwidth
+    passes {!check_bandwidth}, and no edge appears twice. *)
+
+val create :
+  ?name:string ->
+  ?externals:string list ->
+  ?vm_slots:int list ->
+  components:(string * int) list ->
+  edges:(int * int * float * float) list ->
+  unit ->
+  t
+(** {!validate}, raising on a broken rule.
+    @raise Invalid_argument with {!validate}'s message. *)
+
+val check_bandwidth : float -> (unit, string) result
+(** A guarantee or measured rate must be finite and [>= 0.]; [Error] is
+    ["is not finite"] (NaN too) or ["is negative"]. *)
 
 val hose : ?name:string -> tier:string -> size:int -> bw:float -> unit -> t
 (** A single-component TAG with a self-loop: the classic hose model. *)

@@ -10,11 +10,12 @@ let tokens line =
 
 let parse_float what lineno s =
   match float_of_string_opt s with
-  | Some f when not (Float.is_finite f) ->
-      Error (Printf.sprintf "line %d: %s %S is not finite" lineno what s)
-  | Some f when f >= 0. -> Ok f
-  | Some _ -> Error (Printf.sprintf "line %d: negative %s" lineno what)
   | None -> Error (Printf.sprintf "line %d: bad %s %S" lineno what s)
+  | Some f -> (
+      match Tag.check_bandwidth f with
+      | Ok () -> Ok f
+      | Error why ->
+          Error (Printf.sprintf "line %d: %s %S %s" lineno what s why))
 
 let parse_int what lineno s =
   match int_of_string_opt s with
@@ -31,23 +32,10 @@ let of_string text =
   let edges = ref [] (* reversed *) in
   let index_of lineno who =
     (* Regular components first, then externals, matching Tag.create. *)
-    let rec find i = function
-      | [] -> None
-      | (n, _) :: rest -> if n = who then Some i else find (i + 1) rest
-    in
-    let comps = List.rev !components in
-    match find 0 comps with
+    let names = List.rev_map fst !components @ List.rev !externals in
+    match List.find_index (String.equal who) names with
     | Some i -> Ok i
-    | None -> begin
-        let rec find_ext i = function
-          | [] -> None
-          | n :: rest -> if n = who then Some i else find_ext (i + 1) rest
-        in
-        match find_ext 0 (List.rev !externals) with
-        | Some i -> Ok (List.length comps + i)
-        | None ->
-            Error (Printf.sprintf "line %d: unknown component %S" lineno who)
-      end
+    | None -> Error (Printf.sprintf "line %d: unknown component %S" lineno who)
   in
   let parse_line lineno line =
     match tokens line with
@@ -104,14 +92,11 @@ let of_string text =
         go (lineno + 1) rest
   in
   let* () = go 1 lines in
-  try
-    Ok
-      (Tag.create ~name:!name
-         ~externals:(List.rev !externals)
-         ~vm_slots:(List.rev !slot_costs)
-         ~components:(List.rev !components)
-         ~edges:(List.rev !edges) ())
-  with Invalid_argument msg -> Error msg
+  Tag.validate ~name:!name
+    ~externals:(List.rev !externals)
+    ~vm_slots:(List.rev !slot_costs)
+    ~components:(List.rev !components)
+    ~edges:(List.rev !edges) ()
 
 let to_text t =
   let buf = Buffer.create 256 in

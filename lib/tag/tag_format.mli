@@ -24,9 +24,11 @@
     edges that use them. *)
 
 val of_string : string -> (Tag.t, string) result
-(** Parse; the error message includes the offending line number.
-    Bandwidths must be finite and non-negative ([inf], [nan] and
-    overflowing literals such as [1e999] are errors). *)
+(** Parse.  A malformed line or a bandwidth that fails
+    {!Tag.check_bandwidth} ([inf], [nan], overflowing literals such as
+    [1e999]) is reported with its line number; a broken TAG rule
+    (duplicate names, non-positive sizes...) with {!Tag.validate}'s
+    message. *)
 
 val to_text : Tag.t -> string
 (** Render a TAG in the same format; [of_string (to_text t)] succeeds

@@ -481,14 +481,6 @@ let index_flush t =
 let index_key t id = (t.nodes.(id).free_subtree lsl t.idx_id_bits) lor id
 let index_key_id t key = key land ((1 lsl t.idx_id_bits) - 1)
 
-let index_min_key t ~tlevel v =
-  idx_clean t v;
-  t.idx_mink.(tlevel).(v)
-
-let index_max_free t ~tlevel v =
-  idx_clean t v;
-  t.idx_maxfree.(tlevel).(v)
-
 (* Lowest set bit index of a non-zero int, branchless-ish binary
    search. *)
 let lowest_bit_index x =

@@ -145,9 +145,8 @@ val reserved_at_level : t -> level:int -> float * float
 
     For every internal node [v] and target level [tlevel < level v] the
     tree maintains, over the level-[tlevel] descendants [d] of [v]:
-    the minimum packed selection key [(free_slots_subtree d, d)]
-    ({!index_min_key}), the maximum [free_slots_subtree d]
-    ({!index_max_free}), and the maximum over [d] of the minimum
+    the minimum packed selection key [(free_slots_subtree d, d)], the
+    maximum [free_slots_subtree d], and the maximum over [d] of the minimum
     available up/down bandwidth along the path [(v..d]]
     ({!index_max_ext_up}/[_down]).  The aggregates are maintained lazily:
     {!unchecked_take_slots}, {!unchecked_return_slots},
@@ -165,8 +164,6 @@ val index_key : t -> int -> int
 val index_key_id : t -> int -> int
 (** Unpack the node id from a packed key. *)
 
-val index_min_key : t -> tlevel:int -> int -> int
-val index_max_free : t -> tlevel:int -> int -> int
 val index_max_ext_up : t -> tlevel:int -> int -> float
 val index_max_ext_down : t -> tlevel:int -> int -> float
 (** Aggregates of internal node [v] over its level-[tlevel] descendants;

@@ -147,41 +147,43 @@ let of_upper ~n upper =
     upper;
   { n; row_ptr; col_idx; values }
 
+(* The contract of the constructors that adopt caller cells as they
+   are: on [lo, hi), row [i]'s columns strictly ascend in [0, n) and
+   every value is [> 0.] (NaN fails too). *)
+let check_row who ~n i col_idx values lo hi =
+  for p = lo to hi - 1 do
+    let j = col_idx.(p) in
+    if j < 0 || j >= n || (p > lo && j <= col_idx.(p - 1)) then
+      invalid_arg
+        (Printf.sprintf "%s: row %d: columns must strictly ascend in [0, %d)"
+           who i n);
+    if not (values.(p) > 0.) then invalid_arg (who ^ ": values must be > 0")
+  done
+
 let of_sorted_rows ~n rows =
-  if Array.length rows <> n then invalid_arg "Csr.of_sorted_rows: row count";
+  let who = "Csr.of_sorted_rows" in
+  if Array.length rows <> n then invalid_arg (who ^ ": row count");
   let row_ptr = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     let cols, vals = rows.(i) in
-    if Array.length cols <> Array.length vals then
-      invalid_arg "Csr.of_sorted_rows: cols/vals length mismatch";
-    row_ptr.(i + 1) <- row_ptr.(i) + Array.length cols
+    let len = Array.length cols in
+    if Array.length vals <> len then
+      invalid_arg (who ^ ": cols/vals length mismatch");
+    check_row who ~n i cols vals 0 len;
+    row_ptr.(i + 1) <- row_ptr.(i) + len
   done;
   let k = row_ptr.(n) in
   let col_idx = Array.make k 0 and values = Array.make k 0. in
-  let p = ref 0 in
   for i = 0 to n - 1 do
     let cols, vals = rows.(i) in
-    let prev = ref (-1) in
-    for q = 0 to Array.length cols - 1 do
-      let j = cols.(q) in
-      if j <= !prev || j >= n then
-        invalid_arg
-          (Printf.sprintf
-             "Csr.of_sorted_rows: row %d: columns must strictly ascend in \
-              [0, %d)"
-             i n);
-      prev := j;
-      if not (vals.(q) > 0.) then
-        invalid_arg "Csr.of_sorted_rows: values must be > 0";
-      col_idx.(!p) <- j;
-      values.(!p) <- vals.(q);
-      incr p
-    done
+    Array.blit cols 0 col_idx row_ptr.(i) (Array.length cols);
+    Array.blit vals 0 values row_ptr.(i) (Array.length vals)
   done;
   { n; row_ptr; col_idx; values }
 
 let of_arrays ~n ~row_ptr ~col_idx ~values =
-  let fail what = invalid_arg ("Csr.of_arrays: " ^ what) in
+  let who = "Csr.of_arrays" in
+  let fail what = invalid_arg (who ^ ": " ^ what) in
   if n < 0 || Array.length row_ptr <> n + 1 || row_ptr.(0) <> 0 then
     fail "row_ptr length or origin";
   let k = row_ptr.(n) in
@@ -190,12 +192,7 @@ let of_arrays ~n ~row_ptr ~col_idx ~values =
   for i = 0 to n - 1 do
     let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
     if hi < lo || hi > k then fail "row_ptr must be non-decreasing";
-    for p = lo to hi - 1 do
-      let j = col_idx.(p) in
-      if j < 0 || j >= n || (p > lo && j <= col_idx.(p - 1)) then
-        fail (Printf.sprintf "row %d: columns must strictly ascend in [0, %d)" i n);
-      if not (values.(p) > 0.) then fail "values must be > 0"
-    done
+    check_row who ~n i col_idx values lo hi
   done;
   { n; row_ptr; col_idx; values }
 
@@ -260,10 +257,6 @@ let transpose t =
       col_idx.(p) <- i;
       values.(p) <- v);
   { n; row_ptr; col_idx; values }
-
-let scale f t =
-  if not (f > 0.) then invalid_arg "Csr.scale: factor must be > 0";
-  { t with values = Array.map (fun v -> v *. f) t.values }
 
 let equal a b =
   a.n = b.n && a.row_ptr = b.row_ptr && a.col_idx = b.col_idx

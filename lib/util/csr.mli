@@ -96,11 +96,6 @@ val transpose : t -> t
 (** Columns become rows; entry order within each transposed row is
     ascending (counting sort), i.e. the dense column read order. *)
 
-val scale : float -> t -> t
-(** Multiply every stored value; factor must be [> 0.] to preserve the
-    positivity contract.
-    @raise Invalid_argument otherwise. *)
-
 val equal : t -> t -> bool
 (** Structural equality of dimension, pattern and values (exact float
     comparison). *)

@@ -8,10 +8,6 @@
     ratio so that total send equals total receive (the balanced-rate
     assumption of §4.2). *)
 
-val balanced_edges :
-  sizes:int array -> u:int -> v:int -> intensity:float -> (int * int * float * float) list
-(** The two directed edges of one balanced bidirectional trunk. *)
-
 val linear : name:string -> sizes:int array -> intensities:float array -> Cm_tag.Tag.t
 (** Chain [t0 - t1 - ... - tn]; [intensities] has [length sizes - 1]. *)
 

@@ -34,11 +34,9 @@ val max_mean_vm_demand : t -> float
 (** Largest per-tenant average per-VM demand [B_vm] in the pool — the
     quantity the paper pins to [Bmax]. *)
 
-val inter_component_fraction : Cm_tag.Tag.t -> float
-(** Fraction of a tenant's aggregate guaranteed bandwidth carried by
-    inter-component (trunk) edges. *)
-
 val mean_inter_component_fraction : t -> float
+(** Mean over tenants of the fraction of a tenant's aggregate
+    guaranteed bandwidth carried by inter-component (trunk) edges. *)
 
 val per_component_inter_fraction : Cm_tag.Tag.t -> float array
 (** The paper's §2.2 metric: for each component, the fraction of its

@@ -328,10 +328,11 @@ let test_projection_csr_matches_dense () =
     (Csr.equal (Csr.of_dense dense) (Similarity.projection_csr m))
 
 let test_projection_tiny_rates () =
-  (* Three VMs trading 1e-200 both ways: every product underflows to 0,
-     so there is no edge; the scatter once overran on such rows. *)
+  (* Three VMs trading 1e-200 both ways: without the prescale every
+     product underflows to 0, so there is no edge; the scatter once
+     overran on such rows. *)
   let m = Array.init 3 (fun i -> Array.init 3 (fun j -> if i = j then 0. else 1e-200)) in
-  let g = Similarity.projection_csr (Csr.of_dense m) in
+  let g = Similarity.projection_csr ~prescale:false (Csr.of_dense m) in
   Alcotest.(check bool) "equals the dense oracle" true
     (Csr.equal g (Csr.of_dense (Oracle.projection_graph m)));
   Alcotest.(check int) "empty graph" 0 (Csr.nnz g)
@@ -618,6 +619,16 @@ let test_csv_huge_index () =
       Alcotest.(check int) "4 epochs" 4 (Array.length tm.Tm.epochs)
   | Error m -> Alcotest.failf "in-bound cell rejected: %s" m
 
+let test_csv_sum_overflow () =
+  (* Each rate is finite, but two clustered senders' aggregate is not;
+     the file is refused before inference forms it. *)
+  match
+    Tm.of_csv "epoch,src,dst,rate\n0,0,2,1e308\n0,1,2,1e308\n0,0,3,1e308\n"
+  with
+  | Ok _ -> Alcotest.fail "rates past the float range must error"
+  | Error m ->
+      Alcotest.(check string) "message" "rates sum to inf, past half the float range" m
+
 let test_csv_infer_pipeline () =
   (* Imported matrices run through inference (truth unknown). *)
   let rng = Rng.create 10 in
@@ -630,6 +641,24 @@ let test_csv_infer_pipeline () =
       Alcotest.(check bool) "clusters found" true (r.n_components >= 1);
       Alcotest.(check bool) "tag rebuilt" true
         (Tag.total_vms r.inferred = imported.n_vms)
+
+let test_infer_scale_free () =
+  (* Two groups of four VMs, all-to-all inside each group.  Scaled by
+     2^1000 the similarity products overflow, by 2^-1000 they
+     underflow; the exact power-of-two prescale keeps the labels. *)
+  let rate k i j =
+    if i <> j && i / 4 = j / 4 then Float.ldexp (1. +. float_of_int (i + j)) k
+    else 0.
+  in
+  let labels k =
+    let e = Csr.of_dense (Array.init 8 (fun i -> Array.init 8 (rate k i))) in
+    (Infer.infer (Tm.of_epochs [| e |])).labels
+  in
+  let base = labels 0 in
+  Alcotest.(check int) "two groups" 2
+    (1 + Array.fold_left max 0 base);
+  Alcotest.(check (array int)) "x 2^1000" base (labels 1000);
+  Alcotest.(check (array int)) "x 2^-1000" base (labels (-1000))
 
 (* {1 Prediction} *)
 
@@ -692,6 +721,60 @@ let prop_ami_bounded =
     (fun (a, b) ->
       let v = Ami.ami a b in
       v >= -1. && v <= 1.)
+
+(* A valid CSV with one field replaced, one line dropped or doubled, or
+   a line of field soup appended.  Indices stay small or land past the
+   limits, so no case allocates the 256 x 65,536 worst case. *)
+let csv_fields =
+  [| "0"; "1"; "3"; "7"; "-1"; "256"; "65536"; "99999999999999999999"; "2.5";
+     "nan"; "inf"; "-inf"; "1e999"; "1e308"; "5e-324"; "-0"; "0x1p-1074"; "x";
+     ""; " "; "epoch" |]
+
+let csv_text_gen =
+  let open QCheck.Gen in
+  let field = oneofa csv_fields in
+  let soup_line =
+    map (String.concat ",") (list_size (int_range 0 5) field)
+  in
+  let valid =
+    "epoch,src,dst,rate\n0,0,1,5.0\n0,1,0,2.5\n1,2,3,1e-3\n1,3,2,7\n"
+  in
+  let lines = String.split_on_char '\n' valid in
+  let n = List.length lines in
+  let mutate =
+    let* i = int_bound (n - 1)
+    and* how = int_bound 3
+    and* f = field
+    and* at = int_bound 3
+    and* soup = soup_line in
+    return
+      (List.concat
+         (List.mapi
+            (fun j line ->
+              if j <> i then [ line ]
+              else
+                match how with
+                | 0 -> []
+                | 1 -> [ line; line ]
+                | 2 ->
+                    [
+                      String.concat ","
+                        (List.mapi
+                           (fun q x -> if q = at then f else x)
+                           (String.split_on_char ',' line));
+                    ]
+                | _ -> [ line; soup ])
+            lines))
+  in
+  let* lines =
+    frequency [ (3, mutate); (1, list_size (int_range 0 6) soup_line) ]
+  in
+  return (String.concat "\n" lines)
+
+let prop_csv_total =
+  QCheck.Test.make ~name:"of_csv never raises" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") csv_text_gen)
+    (fun text -> match Tm.of_csv text with Ok _ | Error _ -> true)
 
 let prop_csv_roundtrip_cell_identical =
   QCheck.Test.make ~name:"csv round-trip is cell-identical" ~count:30
@@ -892,6 +975,7 @@ let () =
           Alcotest.test_case "statistical multiplexing" `Quick
             test_infer_statistical_multiplexing;
           Alcotest.test_case "deterministic" `Quick test_infer_deterministic;
+          Alcotest.test_case "labels scale-free" `Quick test_infer_scale_free;
         ] );
       ( "csv",
         [
@@ -902,6 +986,10 @@ let () =
           Alcotest.test_case "non-finite rate" `Quick test_csv_non_finite;
           Alcotest.test_case "huge index" `Quick test_csv_huge_index;
           Alcotest.test_case "import to inference" `Quick test_csv_infer_pipeline;
+          Alcotest.test_case "rates summing past the float range" `Quick
+            test_csv_sum_overflow;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
+            prop_csv_total;
         ] );
       ( "prediction",
         [

@@ -33,6 +33,11 @@ let pipeline_tag ?(tier = 12) () =
       ]
     ()
 
+(* Every cell of [m] times [f > 0.], on [m]'s pattern. *)
+let scale f (m : Csr.t) =
+  Csr.of_arrays ~n:m.n ~row_ptr:m.row_ptr ~col_idx:m.col_idx
+    ~values:(Array.map (fun v -> v *. f) m.values)
+
 let random_epoch rng n =
   Csr.of_dense
     (Array.init n (fun i ->
@@ -95,7 +100,7 @@ let test_window_eviction_dirties_rows () =
   let n = 6 in
   let rng = Rng.create 43 in
   let base = random_epoch rng n in
-  let burst = Csr.scale 3. base in
+  let burst = scale 3. base in
   let w = Window.create ~n ~capacity:2 in
   Window.push w base;
   Window.push w burst;
@@ -233,7 +238,7 @@ let test_checked_window_slides_past_burst () =
   let tag = pipeline_tag ~tier:8 () in
   let d = Tm.Drift.create ~rng tag in
   let base = Tm.Drift.step d in
-  let burst = Csr.scale 2.5 base in
+  let burst = scale 2.5 base in
   let s = Stream.create ~n:(Tm.Drift.n_vms d) () in
   List.iter (push_verified s) [ base; base; burst; base; base; base; base; base ];
   (* Once the burst left the window, the mean is the stationary one. *)

@@ -533,17 +533,18 @@ let test_format_roundtrip () =
   | Error m -> Alcotest.failf "re-parse failed: %s" m
   | Ok reparsed -> Alcotest.(check bool) "equal" true (Tag.equal original reparsed)
 
+let contains m frag =
+  let lh = String.length m and lf = String.length frag in
+  let rec go i = i + lf <= lh && (String.sub m i lf = frag || go (i + 1)) in
+  go 0
+
 let test_format_errors () =
   let expect_err text frag =
     match Tag_format.of_string text with
     | Ok _ -> Alcotest.failf "expected error mentioning %S" frag
     | Error m ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%S in %S" frag m)
-          true
-          (let lh = String.length m and lf = String.length frag in
-           let rec go i = i + lf <= lh && (String.sub m i lf = frag || go (i + 1)) in
-           go 0)
+        Alcotest.(check bool) (Printf.sprintf "%S in %S" frag m) true
+          (contains m frag)
   in
   expect_err "component web x\n" "line 1";
   expect_err "component web 4\nedge web nowhere 1 1\n" "unknown component";
@@ -758,6 +759,153 @@ let prop_tag_required_bitwise =
          && Int64.equal (Int64.bits_of_float i)
               (Int64.bits_of_float (Bandwidth.tag_in t ~inside))))
 
+(* {1 One owner per TAG rule: Tag.validate} *)
+
+let test_validate_duplicate_names () =
+  let expect_error frag ~externals components =
+    match Tag.validate ~externals ~components ~edges:[ (0, 0, 1., 1.) ] () with
+    | Ok _ -> Alcotest.failf "expected an error mentioning %S" frag
+    | Error m ->
+        Alcotest.(check bool) (Printf.sprintf "%S in %S" frag m) true
+          (contains m frag)
+  in
+  expect_error {|duplicate component name "a"|} ~externals:[]
+    [ ("a", 2); ("a", 3) ];
+  expect_error {|duplicate component name "a"|} ~externals:[ "a" ]
+    [ ("a", 2) ];
+  match Tag_format.of_string "component a 2\nexternal a\nedge a a 1 1\n" with
+  | Ok _ -> Alcotest.fail "a .tag file with a duplicate name must error"
+  | Error _ -> ()
+
+let test_validate_nan_self_loop () =
+  (* NaN is not "negative" and not "asymmetric": it is non-finite. *)
+  List.iter
+    (fun x ->
+      match
+        Tag.validate ~components:[ ("a", 2) ] ~edges:[ (0, 0, x, x) ] ()
+      with
+      | Ok _ -> Alcotest.failf "bandwidth %g accepted" x
+      | Error m ->
+          Alcotest.(check bool) (m ^ " says non-finite") true
+            (contains m "is not finite"))
+    [ nan; infinity; neg_infinity ]
+
+(* Bandwidths on and past every edge of the rule: NaN, both infinities,
+   huge, subnormal and signed zeros. *)
+let raw_bandwidths =
+  [| nan; infinity; neg_infinity; 1e300; 5e-324; 1e-310; 0.; -0.; 1.; -1.; 250. |]
+
+(* Mostly well-formed raw TAGs with one or two rules at risk: names
+   collide, sizes, slot costs and indices step out of range, and
+   bandwidths come from [raw_bandwidths]. *)
+let raw_tag_gen =
+  let open QCheck.Gen in
+  let name i = frequency [ (7, return (Printf.sprintf "n%d" i)); (1, return "a") ] in
+  let* n_comp = frequency [ (1, return 0); (8, int_range 1 3) ] in
+  let* components =
+    flatten_l
+      (List.init n_comp (fun i ->
+           pair (name i) (frequency [ (8, int_range 1 3); (1, int_range (-1) 0) ])))
+  in
+  let* n_ext = int_range 0 2 in
+  let* externals = flatten_l (List.init n_ext (fun i -> name (n_comp + i))) in
+  let n_total = n_comp + n_ext in
+  let* vm_slots =
+    frequency
+      [
+        (6, return None);
+        (2, map Option.some (list_repeat n_comp (int_range 1 2)));
+        (1, map Option.some (list_size (int_range 0 3) (int_range (-1) 2)));
+      ]
+  in
+  let endpoint =
+    frequency [ (12, int_range 0 (max 0 (n_total - 1))); (1, int_range (-1) n_total) ]
+  in
+  let bw = frequency [ (3, oneofa raw_bandwidths); (2, float_range 0. 1000.) ] in
+  let* edges =
+    list_size (int_range 0 5)
+      (let* src = endpoint and* dst = endpoint and* s = bw and* r = bw in
+       let* self_sr = frequency [ (5, return true); (1, return false) ] in
+       return (src, dst, s, if src = dst && self_sr then s else r))
+  in
+  return (components, externals, vm_slots, edges)
+
+let prop_validate_iff_create =
+  let print (components, externals, vm_slots, edges) =
+    Printf.sprintf "components [%s] externals [%s] vm_slots %s edges [%s]"
+      (String.concat "; "
+         (List.map (fun (n, k) -> Printf.sprintf "%s %d" n k) components))
+      (String.concat "; " externals)
+      (match vm_slots with
+      | None -> "-"
+      | Some l -> String.concat "," (List.map string_of_int l))
+      (String.concat "; "
+         (List.map
+            (fun (a, b, x, y) -> Printf.sprintf "(%d,%d,%h,%h)" a b x y)
+            edges))
+  in
+  QCheck.Test.make ~name:"validate errs iff create raises" ~count:2000
+    (QCheck.make ~print raw_tag_gen)
+    (fun (components, externals, vm_slots, edges) ->
+      let created =
+        match Tag.create ~externals ?vm_slots ~components ~edges () with
+        | t -> Ok t
+        | exception Invalid_argument m -> Error m
+      in
+      match (Tag.validate ~externals ?vm_slots ~components ~edges (), created)
+      with
+      | Ok a, Ok b -> Tag.equal a b
+      | Error m, Error m' -> m' = "Tag.create: " ^ m
+      | _ -> false)
+
+(* A valid file with one token replaced, one line dropped or doubled,
+   or a line of token soup appended. *)
+let format_tokens =
+  [| "tag"; "component"; "external"; "edge"; "duplex"; "selfloop"; "#"; "web";
+     "logic"; "db"; "internet"; "0"; "-1"; "4"; "99999999999999999999"; "nan";
+     "inf"; "-inf"; "1e999"; "1e300"; "5e-324"; "-0"; "0x1p-1074"; "1_000";
+     "\t"; "" |]
+
+let format_text_gen =
+  let open QCheck.Gen in
+  let token = oneofa format_tokens in
+  let soup_line = map (String.concat " ") (list_size (int_range 0 6) token) in
+  let lines = String.split_on_char '\n' sample_text in
+  let n = List.length lines in
+  let mutate =
+    let* i = int_bound (n - 1) in
+    let* how = int_bound 3 in
+    let* tok = token and* at = int_bound 5 and* soup = soup_line in
+    return
+      (List.concat
+         (List.mapi
+            (fun j line ->
+              if j <> i then [ line ]
+              else
+                match how with
+                | 0 -> []
+                | 1 -> [ line; line ]
+                | 2 ->
+                    let words = String.split_on_char ' ' line in
+                    let k = at mod max 1 (List.length words) in
+                    [
+                      String.concat " "
+                        (List.mapi (fun q w -> if q = k then tok else w) words);
+                    ]
+                | _ -> [ line; soup ])
+            lines))
+  in
+  let* lines =
+    frequency [ (3, mutate); (1, list_size (int_range 0 8) soup_line) ]
+  in
+  return (String.concat "\n" lines)
+
+let prop_format_total =
+  QCheck.Test.make ~name:"Tag_format.of_string never raises" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") format_text_gen)
+    (fun text ->
+      match Tag_format.of_string text with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "cm_tag"
     [
@@ -845,6 +993,17 @@ let () =
           Alcotest.test_case "mixed resolutions" `Quick
             test_multiplexing_mixed_resolutions;
           QCheck_alcotest.to_alcotest prop_multiplexing_bounds;
+        ] );
+      ( "validate",
+        [
+          Alcotest.test_case "duplicate names rejected" `Quick
+            test_validate_duplicate_names;
+          Alcotest.test_case "non-finite self-loop" `Quick
+            test_validate_nan_self_loop;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
+            prop_validate_iff_create;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+            prop_format_total;
         ] );
       ( "format",
         [

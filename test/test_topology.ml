@@ -143,75 +143,6 @@ let test_utilization_summary () =
   check_float "mean up 1/16" (0.5 /. 8.) up;
   check_float "mean down 1/8" (1. /. 8.) down
 
-(* {1 Fat-tree reduction} *)
-
-module Fat_tree = Cm_topology.Fat_tree
-
-let test_fat_tree_shape () =
-  (* k = 4: 16 servers, 4 pods of 2 edge switches of 2 servers. *)
-  let t = Fat_tree.create ~k:4 ~slots_per_server:4 ~server_up_mbps:1000. () in
-  Alcotest.(check int) "servers" 16 (Tree.n_servers t);
-  Alcotest.(check int) "servers helper" 16 (Fat_tree.n_servers ~k:4);
-  Alcotest.(check int) "pods" 4 (Array.length (Tree.nodes_at_level t 2));
-  Alcotest.(check int) "edge switches" 8 (Array.length (Tree.nodes_at_level t 1))
-
-let test_fat_tree_full_bisection () =
-  let t = Fat_tree.create ~k:4 ~slots_per_server:4 ~server_up_mbps:1000. () in
-  (* Non-blocking: each layer's uplink equals its downlink. *)
-  let edge = (Tree.nodes_at_level t 1).(0) in
-  check_float "edge uplink" 2000. (Tree.uplink_capacity t edge);
-  let pod = (Tree.nodes_at_level t 2).(0) in
-  check_float "pod uplink" 4000. (Tree.uplink_capacity t pod);
-  check_float "bisection" 16_000.
-    (Fat_tree.bisection_bandwidth ~k:4 ~server_up_mbps:1000. ())
-
-let test_fat_tree_trimmed_core () =
-  let t =
-    Fat_tree.create ~core_ratio:0.25 ~k:4 ~slots_per_server:4
-      ~server_up_mbps:1000. ()
-  in
-  let pod = (Tree.nodes_at_level t 2).(0) in
-  check_float "pod uplink 4x oversubscribed" 1000. (Tree.uplink_capacity t pod);
-  check_float "bisection scaled" 4000.
-    (Fat_tree.bisection_bandwidth ~core_ratio:0.25 ~k:4 ~server_up_mbps:1000. ())
-
-let test_fat_tree_validation () =
-  let expect f =
-    Alcotest.check_raises "rejected" (Invalid_argument "")
-      (fun () ->
-        try ignore (f ()) with Invalid_argument _ -> raise (Invalid_argument ""))
-  in
-  expect (fun () -> Fat_tree.spec ~k:3 ~slots_per_server:1 ~server_up_mbps:1. ());
-  expect (fun () -> Fat_tree.spec ~k:2 ~slots_per_server:1 ~server_up_mbps:1. ());
-  expect (fun () ->
-      Fat_tree.spec ~core_ratio:0. ~k:4 ~slots_per_server:1 ~server_up_mbps:1. ());
-  expect (fun () ->
-      Fat_tree.spec ~core_ratio:1.5 ~k:4 ~slots_per_server:1 ~server_up_mbps:1. ())
-
-let test_fat_tree_placement_benefits_from_core () =
-  (* The same cross-pod-heavy tenants fit on a full fat-tree but not on a
-     core-trimmed one. *)
-  let admit core_ratio =
-    let t =
-      Fat_tree.create ~core_ratio ~k:4 ~slots_per_server:4
-        ~server_up_mbps:1000. ()
-    in
-    let sched = Cm_placement.Cm.create t in
-    let accepted = ref 0 in
-    for i = 0 to 3 do
-      ignore i;
-      (* 16 VMs of all-to-all at 150 Mbps per VM: must span pods. *)
-      let tag = Cm_tag.Tag.hose ~tier:"mesh" ~size:16 ~bw:150. () in
-      match Cm_placement.Cm.place sched (Cm_placement.Types.request tag) with
-      | Ok _ -> incr accepted
-      | Error _ -> ()
-    done;
-    !accepted
-  in
-  Alcotest.(check bool) "full bisection admits more" true
-    (admit 1. >= admit 0.25);
-  Alcotest.(check bool) "full bisection admits some" true (admit 1. > 0)
-
 (* {1 Reservation ledger} *)
 
 let test_reservation_commit_release () =
@@ -353,15 +284,6 @@ let () =
           Alcotest.test_case "available to root" `Quick test_available_to_root;
           Alcotest.test_case "reserved at level" `Quick test_reserved_at_level;
           Alcotest.test_case "utilization summary" `Quick test_utilization_summary;
-        ] );
-      ( "fat-tree",
-        [
-          Alcotest.test_case "shape" `Quick test_fat_tree_shape;
-          Alcotest.test_case "full bisection" `Quick test_fat_tree_full_bisection;
-          Alcotest.test_case "trimmed core" `Quick test_fat_tree_trimmed_core;
-          Alcotest.test_case "validation" `Quick test_fat_tree_validation;
-          Alcotest.test_case "placement benefits" `Quick
-            test_fat_tree_placement_benefits_from_core;
         ] );
       ( "reservation",
         [

@@ -532,14 +532,6 @@ let test_csr_transpose () =
   check_float "symmetric slot empty" 0. (Csr.get tt 2 0);
   Alcotest.(check bool) "involution" true (Csr.equal t (Csr.transpose tt))
 
-let test_csr_scale () =
-  let t = Csr.of_dense sample_dense in
-  check_float "scaled" 3. (Csr.get (Csr.scale 2. t) 0 1);
-  Alcotest.check_raises "non-positive factor" (Invalid_argument "")
-    (fun () ->
-      try ignore (Csr.scale 0. t)
-      with Invalid_argument _ -> raise (Invalid_argument ""))
-
 let test_csr_of_upper () =
   (* Upper-triangle input mirrors into a symmetric matrix; non-positive
      entries drop before mirroring. *)
@@ -787,7 +779,6 @@ let () =
           Alcotest.test_case "iteration order" `Quick test_csr_iteration_order;
           Alcotest.test_case "sums" `Quick test_csr_sums;
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
-          Alcotest.test_case "scale" `Quick test_csr_scale;
           Alcotest.test_case "of_upper" `Quick test_csr_of_upper;
           QCheck_alcotest.to_alcotest prop_csr_dense_roundtrip;
         ] );
