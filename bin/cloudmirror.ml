@@ -33,6 +33,27 @@ let level_conv =
   in
   Arg.conv (parse, print)
 
+(* An output file whose directory exists and is writable, and which is
+   not itself a directory: refused at parse time (exit 124), not after
+   minutes of simulation. *)
+let out_file =
+  let parse path =
+    let dir = Filename.dirname path in
+    let fail msg = Error (`Msg msg) in
+    match try Some (Sys.is_directory dir) with Sys_error _ -> None with
+    | None -> fail (Printf.sprintf "directory %s does not exist" dir)
+    | Some false -> fail (Printf.sprintf "%s is not a directory" dir)
+    | Some true -> (
+        match Unix.access dir [ Unix.W_OK ] with
+        | exception Unix.Unix_error _ ->
+            fail (Printf.sprintf "directory %s is not writable" dir)
+        | () ->
+            if Sys.file_exists path && Sys.is_directory path then
+              fail (Printf.sprintf "%s is a directory" path)
+            else Ok path)
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let obs_t =
   let log_level_t =
     let doc = "Log threshold: debug, info, warn, error or off." in
@@ -53,7 +74,9 @@ let obs_t =
        cloudmirror.metrics/2 JSON."
     in
     Arg.(
-      value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+      value
+      & opt (some out_file) None
+      & info [ "metrics-out" ] ~docv:"FILE" ~doc)
   in
   let trace_out_t =
     let doc =
@@ -61,53 +84,25 @@ let obs_t =
        file to $(docv) (open it in https://ui.perfetto.dev)."
     in
     Arg.(
-      value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-  in
-  (* Output paths are validated up front so a bad directory fails before
-     any work runs, with the conventional usage exit code (2), instead
-     of a Sys_error after minutes of simulation. *)
-  let check_writable flag path =
-    let fail msg =
-      Printf.eprintf
-        "cloudmirror: %s: %s\nRun with --help for usage.\n" flag msg;
-      Stdlib.exit 2
-    in
-    let dir = Filename.dirname path in
-    (match try Some (Sys.is_directory dir) with Sys_error _ -> None with
-    | Some true -> ()
-    | Some false -> fail (Printf.sprintf "%s is not a directory" dir)
-    | None -> fail (Printf.sprintf "directory %s does not exist" dir));
-    (try Unix.access dir [ Unix.W_OK ]
-     with Unix.Unix_error _ ->
-       fail (Printf.sprintf "directory %s is not writable" dir));
-    if Sys.file_exists path && Sys.is_directory path then
-      fail (Printf.sprintf "%s is a directory" path)
+      value & opt (some out_file) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let setup level json_file metrics_out trace_out =
     Cm_obs.Log.set_level level;
-    (match json_file with
-    | Some path -> Cm_obs.Log.open_json_file path
-    | None -> ());
-    (match metrics_out with
-    | Some path ->
-        check_writable "--metrics-out" path;
-        Cm_obs.Span.set_enabled true;
-        Cm_obs.Series.set_enabled true
-    | None -> ());
-    (match trace_out with
-    | Some path ->
-        check_writable "--trace-out" path;
-        Cm_obs.Trace.set_enabled true
-    | None -> ());
+    Option.iter Cm_obs.Log.open_json_file json_file;
+    if metrics_out <> None then begin
+      Cm_obs.Span.set_enabled true;
+      Cm_obs.Series.set_enabled true
+    end;
+    if trace_out <> None then Cm_obs.Trace.set_enabled true;
     (metrics_out, trace_out)
   in
   Term.(const setup $ log_level_t $ log_json_t $ metrics_out_t $ trace_out_t)
 
-let finish_metrics (metrics_out, trace_out) =
+let finish_metrics ?extra (metrics_out, trace_out) =
   (match metrics_out with
   | None -> ()
   | Some path ->
-      Cm_obs.Metrics.write_file path;
+      Cm_obs.Metrics.write_file ?extra path;
       Printf.eprintf "wrote metrics document to %s\n%!" path);
   match trace_out with
   | None -> ()
@@ -116,30 +111,35 @@ let finish_metrics (metrics_out, trace_out) =
       Printf.eprintf "wrote %d trace events (%d dropped) to %s\n%!"
         (Cm_obs.Trace.recorded ()) (Cm_obs.Trace.dropped ()) path
 
+(* An integer >= 1, refused with exit 124 otherwise. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg "must be >= 1")
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_t =
   let doc =
     "Worker domains for parallel sweeps (default: the host's recommended \
      domain count).  Results are identical for every value."
   in
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ -> Error (`Msg "must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt jobs_conv (Cm_util.Par.available_domains ())
+    & opt positive_int (Cm_util.Par.available_domains ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let set_jobs jobs = Cm_util.Par.set_default_domains jobs
 
 let arrivals_t =
-  let doc = "Poisson arrivals per simulated point (paper: 10000)." in
-  Arg.(value & opt int 2000 & info [ "arrivals" ] ~docv:"N" ~doc)
+  let doc =
+    "Poisson arrivals per simulated point, >= 1 (paper: 10000).  Below \
+     10000, the enforce-scale and inference-stream experiments run their \
+     fast sizes."
+  in
+  Arg.(value & opt positive_int 2000 & info [ "arrivals" ] ~docv:"N" ~doc)
 
 (* A float value that must satisfy [ok], described by [what] in the
    error, so a bad value is refused here with exit 124. *)
@@ -186,38 +186,58 @@ let example_t =
 
 (* {1 experiment command} *)
 
-(* "runtime" predates the sections table and maps to the wall-clock
-   probe ("runtime-probe" there). *)
-let experiment_names =
-  E.section_names @ [ "runtime" ]
-
-let run_experiment metrics name seed arrivals bmax load jobs =
+let run_experiment metrics names seed arrivals bmax load jobs =
   set_jobs jobs;
-  let p = { E.seed; arrivals; bmax; load } in
-  let name = if name = "runtime" then "runtime-probe" else name in
-  match List.assoc_opt name (E.sections ~params:p) with
-  | Some run ->
-      List.iter Table.print (run ());
-      finish_metrics metrics;
-      `Ok ()
-  | None ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown experiment %S; one of: %s" name
-            (String.concat ", " experiment_names) )
+  let sections =
+    E.sections ~params:{ E.seed; arrivals; bmax; load }
+    |> List.filter (fun (name, _) -> names = [] || List.mem name names)
+  in
+  Printf.printf
+    "CloudMirror experiments (seed %d, %d arrivals per simulated point, %d \
+     worker domains)\n"
+    seed arrivals (Cm_util.Par.default_domains ());
+  List.iter
+    (fun (name, run) ->
+      Printf.printf "\n=== %s ===\n%!" name;
+      let wall, tables = Cm_experiments.Scale.time run in
+      List.iter Table.print tables;
+      Printf.printf "[%s finished in %.1fs]\n%!" name wall)
+    sections;
+  let number n = Cm_obs.Json.Number (float_of_int n) in
+  finish_metrics metrics
+    ~extra:
+      [
+        ( "run",
+          Cm_obs.Json.Object
+            [
+              ("harness", Cm_obs.Json.String "cloudmirror experiment");
+              ("seed", number seed);
+              ("arrivals", number arrivals);
+              ("jobs", number (Cm_util.Par.default_domains ()));
+              ( "sections",
+                Cm_obs.Json.Array
+                  (List.map (fun (n, _) -> Cm_obs.Json.String n) sections) );
+            ] );
+      ]
 
 let experiment_cmd =
-  let name_t =
-    let doc = "Experiment to run (fig1..fig13, table1, ami, runtime)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
+  let names_t =
+    let doc =
+      "Sections to run, in table order; all of them when none is given.  \
+       Each is " ^ Arg.doc_alts E.section_names ^ "."
+    in
+    let names = List.map (fun n -> (n, n)) E.section_names in
+    Arg.(value & pos_all (enum names) [] & info [] ~docv:"SECTION" ~doc)
   in
-  let doc = "Regenerate one of the paper's tables or figures." in
+  let doc =
+    "Regenerate the paper's tables and figures and run the scale \
+     benchmarks."
+  in
   Cmd.v
     (Cmd.info "experiment" ~doc)
     Term.(
-      ret
-        (const run_experiment $ obs_t $ name_t $ seed_t $ arrivals_t $ bmax_t
-       $ load_t $ jobs_t))
+      const run_experiment $ obs_t $ names_t $ seed_t $ arrivals_t $ bmax_t
+      $ load_t $ jobs_t)
 
 (* {1 pool command} *)
 
@@ -442,7 +462,7 @@ let run_simulate metrics kind alg seed arrivals bmax load rwcs replicates jobs
       (100. *. r.mean_utilization)
       (Cm_sim.Runner.mean_wcs r)
   in
-  if replicates <= 1 then begin
+  if replicates = 1 then begin
     let tree = Tree.create_default () in
     let sched = make tree in
     report sched.sched_name (Cm_sim.Runner.run sched tree pool cfg)
@@ -481,7 +501,7 @@ let simulate_cmd =
        sharded across worker domains, and report the mean and standard \
        deviation of the rejected-bandwidth rate."
     in
-    Arg.(value & opt int 1 & info [ "replicates" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 1 & info [ "replicates" ] ~docv:"N" ~doc)
   in
   let doc =
     "Run a Poisson arrival/departure simulation on the default datacenter \
@@ -605,15 +625,6 @@ let failures_cmd =
 let default_cmd = Term.(ret (const (`Help (`Pager, None))))
 
 let () =
-  (* CLOUDMIRROR_LOG=debug|info enables placement logging on stderr
-     (the --log-level option is the first-class spelling). *)
-  (match Sys.getenv_opt "CLOUDMIRROR_LOG" with
-  | Some level ->
-      Cm_obs.Log.set_level
-        (match Cm_obs.Log.level_of_string level with
-        | Ok l -> l
-        | Error _ -> Some Cm_obs.Log.Info)
-  | None -> ());
   let info =
     Cmd.info "cloudmirror" ~version:"1.0.0"
       ~doc:

@@ -515,15 +515,13 @@ let check_paths ~links ~flows =
       go f.path)
     flows
 
-let solve_cold ~links ~flows =
+let with_guarantees ~links ~flows =
   check_paths ~links ~flows;
   let t = Inc.create ~links in
   List.iter (fun f -> Inc.set t f) flows;
   Inc.solve t;
   Array.of_list (List.map (fun f -> (f.flow_id, Inc.rate t f.flow_id)) flows)
 
-let with_guarantees ~links ~flows = solve_cold ~links ~flows
-
 let max_min ~links ~flows =
-  solve_cold ~links
+  with_guarantees ~links
     ~flows:(List.map (fun f -> { f with guarantee = 0. }) flows)

@@ -126,10 +126,9 @@ let prune_limits t =
     (fun _pair lim -> if decayed t lim < 1e-6 then None else Some lim)
     t.limits
 
-(* One compile = one epoch, whether driven by [step], [run] or
-   [run_dynamic] — the single counting site keeps [enforce.epochs] in
-   lockstep with [enforce.gp.updates] (pre-PR only [run_dynamic]
-   counted, so the two drifted apart under [step]/[run] traffic). *)
+(* One compile = one epoch, whether driven by [run] or [run_dynamic] —
+   the single counting site keeps [enforce.epochs] in lockstep with
+   [enforce.gp.updates]. *)
 let compile t ~flows =
   Cm_obs.Metrics.incr m_gp_updates;
   Cm_obs.Metrics.incr m_epochs;
@@ -171,8 +170,7 @@ let compile t ~flows =
     smooth = Array.make n 0.;
   }
 
-(* Persist the epoch's limiters so the next epoch (or [step] call)
-   resumes from them. *)
+(* Persist the epoch's limiters so the next epoch resumes from them. *)
 let write_back t es =
   for i = 0 to es.n - 1 do
     match Hashtbl.find_opt t.limits es.specs.(i).pair with
@@ -235,12 +233,6 @@ let step_compiled t es =
 
 let rates_of es =
   Array.to_list (Array.mapi (fun i f -> (f.pair, es.rate.(i))) es.specs)
-
-let step t ~flows =
-  let es = compile t ~flows in
-  step_compiled t es;
-  write_back t es;
-  rates_of es
 
 let run t ~flows ~periods =
   let es = compile t ~flows in

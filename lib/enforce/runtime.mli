@@ -74,20 +74,15 @@ val create :
   t
 (** A runtime bound to one tenant's TAG and a set of links. *)
 
-val step : t -> flows:flow_spec list -> (Elastic.active_pair * float) list
-(** Run one control period with the given active flows and return each
-    flow's achieved throughput.  Each call is a one-period epoch: the
-    flow set may change freely between calls; pairs keep their limiter
-    state while present and decay it while absent (see the module
-    description).  Prefer {!run} / {!run_dynamic} when the flow set is
-    stable for many periods — they compile the epoch once.
-
-    @raise Invalid_argument if a flow references an unknown link. *)
-
 val run :
   t -> flows:flow_spec list -> periods:int -> (Elastic.active_pair * float) list
 (** One epoch of exactly [max 1 periods] control periods with a fixed
-    flow set; returns the final period's throughputs. *)
+    flow set; returns each flow's throughput in the final period.  The
+    flow set may change freely between calls: pairs keep their limiter
+    state while present and decay it while absent (see the module
+    description).
+
+    @raise Invalid_argument if a flow references an unknown link. *)
 
 (** {1 Dynamic flow populations} *)
 
@@ -143,7 +138,7 @@ val run_dynamic :
     histogram (periods to convergence per epoch) and an
     [enforce.rate_delta] histogram (per-period max throughput delta in
     Mbps).  [enforce.epochs] counts every compiled epoch — one per
-    {!step} call, one per {!run} call, one per [run_dynamic] epoch — so
+    {!run} call, one per [run_dynamic] epoch — so
     it always equals [enforce.gp.updates].  The incremental solver adds
     [enforce.inc.solves] / [enforce.inc.flows_resolved] /
     [enforce.inc.components].

@@ -1314,22 +1314,19 @@ let closest_tenant pool size =
   |> List.hd
   |> snd
 
+(* Mean wall time of [reps] place+release cycles on an empty tree. *)
 let time_place make tag =
-  let tree = Tree.create_default () in
-  let sched = make tree in
-  (* Wall time, on the clock [Cm_obs.Span] uses. *)
-  let t0 = Unix.gettimeofday () in
+  let sched = make (Tree.create_default ()) in
   let reps = 3 in
-  let ok = ref 0 in
-  for _ = 1 to reps do
-    match sched.Driver.place (Types.request tag) with
-    | Ok p ->
-        incr ok;
-        sched.Driver.release p
-    | Error _ -> ()
-  done;
-  let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-  (dt, !ok > 0)
+  let wall, () =
+    Scale.time (fun () ->
+        for _ = 1 to reps do
+          match sched.Driver.place (Types.request tag) with
+          | Ok p -> sched.Driver.release p
+          | Error _ -> ()
+        done)
+  in
+  wall /. float_of_int reps
 
 let runtime_probe ~seed ~sizes =
   let pool = bing_pool ~seed ~bmax:800. in
@@ -1340,84 +1337,79 @@ let runtime_probe ~seed ~sizes =
          empty 2048-server datacenter (3 runs)"
       [
         ("tenant size", Table.Right);
-        ("CM (ms)", Table.Right);
-        ("OVOC (ms)", Table.Right);
-        ("SecondNet (ms)", Table.Right);
+        ("CM (us)", Table.Right);
+        ("OVOC (us)", Table.Right);
+        ("SecondNet (us)", Table.Right);
       ]
   in
+  let us s = Printf.sprintf "%.1f" (s *. 1e6) in
   List.iter
     (fun size ->
       let tag = closest_tenant pool size in
       let actual = Tag.total_vms tag in
-      let cm, _ = time_place Driver.cm tag in
-      let ovoc, _ = time_place Driver.oktopus tag in
-      let secondnet_cell =
-        if actual <= 250 then
-          let sn, _ = time_place Driver.secondnet tag in
-          Printf.sprintf "%.1f" (sn *. 1000.)
-        else "(skipped: minutes)"
-      in
       Table.add_row t
         [
           string_of_int actual;
-          Printf.sprintf "%.1f" (cm *. 1000.);
-          Printf.sprintf "%.1f" (ovoc *. 1000.);
-          secondnet_cell;
+          us (time_place Driver.cm tag);
+          us (time_place Driver.oktopus tag);
+          (if actual <= 250 then us (time_place Driver.secondnet tag)
+           else "(skipped: minutes)");
         ])
     sizes;
   t
 
 (* {1 Section table}
 
-   The single source of truth for the experiment sections that
-   bench/main.exe and the cloudmirror CLI dispatch: the harnesses
-   iterate this table rather than maintaining their own name lists, so a
-   new experiment added here is automatically runnable (and testable)
-   everywhere.  Each handler is wrapped in a "section.<name>" timed span
-   so a --metrics-out run records per-section wall time. *)
+   The single source of truth for the sections `cloudmirror experiment`
+   runs: the paper's tables and figures, then the scale benchmarks.  A
+   new experiment added here is runnable (and testable) at once.  Each
+   paper handler is wrapped in a "section.<name>" timed span so a
+   --metrics-out run records per-section wall time; the scale sections
+   wrap their own. *)
 
 let sections ~params:p =
   let one f () = [ f () ] in
-  [
-    ("fig1", fig1);
-    ("fig2", one fig2);
-    ("fig3", one fig3);
-    ("fig4", one fig4);
-    ("fig6", one fig6);
-    ("table1", one (fun () -> table1 ~seed:p.seed ~bmax:p.bmax));
-    ("workloads", fun () -> table1_all_workloads ~seed:p.seed ~bmax:p.bmax);
-    ( "fig7",
-      one (fun () ->
-          fig7 p ~loads:[ 0.5; 0.9 ]
-            ~bmaxes:[ 400.; 600.; 800.; 1000.; 1200. ]) );
-    ( "fig8",
-      one (fun () ->
-          fig8 p ~loads:[ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ])
-    );
-    ("fig9", one (fun () -> fig9 p ~ratios:[ 16; 32; 64; 128 ]));
-    ("fig10", one (fun () -> fig10 p));
-    ("replicates", one (fun () -> replicates p ~seeds:[ 1; 2; 3; 4; 5 ]));
-    ("fig11", one (fun () -> fig11 p ~rwcs_list:[ 0.; 0.25; 0.5; 0.75 ]));
-    ( "fig12",
-      one (fun () -> fig12 p ~bmaxes:[ 400.; 600.; 800.; 1000.; 1200. ]) );
-    ( "fig12-tor",
-      one (fun () -> fig12 ~laa_level:1 p ~bmaxes:[ 600.; 800.; 1000. ]) );
-    ("fig13", one fig13);
-    ("enforce-churn", one (fun () -> enforce_churn ~seed:p.seed));
-    ("sim-failures", fun () -> sim_failures p);
-    ("enforce-failures", one (fun () -> enforce_failures ~seed:p.seed));
-    ("e2e", one (fun () -> end_to_end ~seed:p.seed ~bmax:p.bmax));
-    ("profiles", one (fun () -> profiles ~seed:p.seed));
-    ("prediction", one (fun () -> prediction ~seed:p.seed));
-    ("optimality", one (fun () -> optimality ~seed:p.seed ()));
-    ("defrag", one (fun () -> defrag ~seed:p.seed ()));
-    ("ami", one (fun () -> fst (ami ~seed:p.seed ())));
-    ("ami-sweep", one (fun () -> ami_sensitivity ~seed:p.seed ()));
-    ( "runtime-probe",
-      one (fun () -> runtime_probe ~seed:p.seed ~sizes:[ 25; 57; 200; 732 ])
-    );
-  ]
+  ([
+     ("fig1", fig1);
+     ("fig2", one fig2);
+     ("fig3", one fig3);
+     ("fig4", one fig4);
+     ("fig6", one fig6);
+     ("table1", one (fun () -> table1 ~seed:p.seed ~bmax:p.bmax));
+     ("workloads", fun () -> table1_all_workloads ~seed:p.seed ~bmax:p.bmax);
+     ( "fig7",
+       one (fun () ->
+           fig7 p ~loads:[ 0.5; 0.9 ]
+             ~bmaxes:[ 400.; 600.; 800.; 1000.; 1200. ]) );
+     ( "fig8",
+       one (fun () ->
+           fig8 p ~loads:[ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ])
+     );
+     ("fig9", one (fun () -> fig9 p ~ratios:[ 16; 32; 64; 128 ]));
+     ("fig10", one (fun () -> fig10 p));
+     ("replicates", one (fun () -> replicates p ~seeds:[ 1; 2; 3; 4; 5 ]));
+     ("fig11", one (fun () -> fig11 p ~rwcs_list:[ 0.; 0.25; 0.5; 0.75 ]));
+     ( "fig12",
+       one (fun () -> fig12 p ~bmaxes:[ 400.; 600.; 800.; 1000.; 1200. ]) );
+     ( "fig12-tor",
+       one (fun () -> fig12 ~laa_level:1 p ~bmaxes:[ 600.; 800.; 1000. ]) );
+     ("fig13", one fig13);
+     ("enforce-churn", one (fun () -> enforce_churn ~seed:p.seed));
+     ("sim-failures", fun () -> sim_failures p);
+     ("enforce-failures", one (fun () -> enforce_failures ~seed:p.seed));
+     ("e2e", one (fun () -> end_to_end ~seed:p.seed ~bmax:p.bmax));
+     ("profiles", one (fun () -> profiles ~seed:p.seed));
+     ("prediction", one (fun () -> prediction ~seed:p.seed));
+     ("optimality", one (fun () -> optimality ~seed:p.seed ()));
+     ("defrag", one (fun () -> defrag ~seed:p.seed ()));
+     ("ami", one (fun () -> fst (ami ~seed:p.seed ())));
+     ("ami-sweep", one (fun () -> ami_sensitivity ~seed:p.seed ()));
+     ( "runtime-probe",
+       one (fun () -> runtime_probe ~seed:p.seed ~sizes:[ 25; 57; 200; 732 ])
+     );
+   ]
   |> List.map (fun (name, run) ->
-         (name, fun () -> Cm_obs.Span.with_ ("section." ^ name) run))
+         (name, fun () -> Cm_obs.Span.with_ ("section." ^ name) run)))
+  @ Scale.sections ~seed:p.seed ~arrivals:p.arrivals
 
 let section_names = List.map fst (sections ~params:default_params)

@@ -1,7 +1,6 @@
 (** One entry point per table / figure of the paper's evaluation, each
-    returning ready-to-print {!Cm_util.Table.t} values.  The benchmark
-    harness ([bench/main.exe]) runs them all; the CLI
-    ([bin/cloudmirror.exe]) exposes them individually.
+    returning ready-to-print {!Cm_util.Table.t} values.
+    [cloudmirror experiment] runs them all, or the ones it is given.
 
     Every experiment is deterministic given [seed].  [arrivals] scales
     the Poisson simulations: the paper uses 10,000 arrivals per point;
@@ -175,21 +174,21 @@ val profiles : seed:int -> Cm_util.Table.t
 
 val runtime_probe :
   seed:int -> sizes:int list -> Cm_util.Table.t
-(** Single-shot wall-clock probe of place+release latency per algorithm
-    and tenant size (complements the Bechamel microbenchmarks in
-    [bench/main.exe]). *)
+(** Mean wall time, in microseconds, of three place+release cycles per
+    algorithm on the bing-like tenant closest to each size, timed with
+    {!Scale.time}.  SecondNet is skipped above 250 VMs. *)
 
 (** {1 Section table} *)
 
 val sections :
   params:sim_params -> (string * (unit -> Cm_util.Table.t list)) list
 (** The experiment sections, as data: one [(name, run)] pair per table /
-    figure above, with the paper's sweep parameters baked in.  This is
-    the single dispatch table used by [bench/main.exe] and the
+    figure above, with the paper's sweep parameters baked in, followed
+    by {!Scale.sections}.  This is the dispatch table of the
     [cloudmirror experiment] command, so names and handlers cannot
     drift.  Every handler is wrapped in a ["section.<name>"]
-    {!Cm_obs.Span}, giving per-section wall-time histograms in the
-    metrics document. *)
+    {!Cm_obs.Span} (see {!Scale.sections} for its labels), giving
+    per-section wall-time histograms in the metrics document. *)
 
 val section_names : string list
 (** [List.map fst (sections ~params:default_params)], in dispatch

@@ -1,164 +1,15 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 5 plus the motivating figures), then runs the
-   placement, enforcement and inference scale benchmarks.
+(* The scale benchmarks: placement, enforcement and inference hot paths
+   timed at and beyond the paper's sizes, each with its correctness
+   checks enforced in-process.  Results are exported as [bench.*] gauges
+   (read by scripts/gates/*.py) and registered only when a section runs,
+   so a metrics document carries only the sections it ran. *)
 
-   The section list is data (Cm_experiments.Experiments.sections), not a
-   hand-maintained match: this file only appends the scale-benchmark
-   sections, so harness and experiment library cannot drift.  Placement
-   runtime per tenant size is the library's "runtime-probe" section.
-
-   Usage:
-     dune exec bench/main.exe                 -- run everything, paper scale
-     dune exec bench/main.exe -- --fast       -- 2000 arrivals per point
-     dune exec bench/main.exe -- fig7 table1  -- selected sections only
-     dune exec bench/main.exe -- --arrivals 500 --seed 7 --jobs 4 fig8
-     dune exec bench/main.exe -- --fast fig8 --metrics-out BENCH_run.json *)
-
-module E = Cm_experiments.Experiments
 module Table = Cm_util.Table
 module Par = Cm_util.Par
-module Obs_log = Cm_obs.Log
 module Metrics = Cm_obs.Metrics
+module Series = Cm_obs.Series
 module Span = Cm_obs.Span
-module Json = Cm_obs.Json
 
-let requested : string list ref = ref []
-let params = ref E.default_params
-let metrics_out : string option ref = ref None
-let trace_out : string option ref = ref None
-
-let known_sections =
-  E.section_names
-  @ [
-      "placement";
-      "placement-scale";
-      "enforce";
-      "enforce-scale";
-      "inference";
-      "inference-stream";
-    ]
-
-let usage oc =
-  Printf.fprintf oc
-    "usage: main.exe [OPTION]... [SECTION]...\n\n\
-     Options:\n\
-    \  --fast            2000 arrivals per simulated point (default 10000)\n\
-    \  --arrivals N      Poisson arrivals per simulated point\n\
-    \  --seed N          PRNG seed (default 42)\n\
-    \  --jobs N          worker domains for parallel sweeps (default %d,\n\
-    \                    the recommended domain count of this host)\n\
-    \  --log-level LVL   debug|info|warn|error|off (default warn)\n\
-    \  --log-json FILE   write log records as JSON lines to FILE\n\
-    \  --metrics-out FILE\n\
-    \                    enable timed spans + per-epoch series and write the\n\
-    \                    metrics registry (cloudmirror.metrics/2: per-section\n\
-    \                    durations, GC deltas, counters, series) to FILE as\n\
-    \                    JSON on exit\n\
-    \  --trace-out FILE  enable causal tracing and write a Chrome trace-event\n\
-    \                    JSON file (load it in https://ui.perfetto.dev) on\n\
-    \                    exit\n\
-    \  --help            print this message\n\n\
-     Sections (default: all):\n\
-    \  %s\n"
-    (Par.available_domains ())
-    (String.concat " " known_sections)
-
-let usage_error msg =
-  Printf.eprintf "main.exe: %s\n" msg;
-  usage stderr;
-  exit 2
-
-(* Fail at parse time, not after minutes of benchmarking: the output
-   path's directory must exist and be writable, and the path must not
-   name a directory. *)
-let check_writable flag path =
-  let dir = Filename.dirname path in
-  (match try Some (Sys.is_directory dir) with Sys_error _ -> None with
-  | Some true -> ()
-  | Some false ->
-      usage_error (Printf.sprintf "%s: %s is not a directory" flag dir)
-  | None ->
-      usage_error (Printf.sprintf "%s: directory %s does not exist" flag dir));
-  (try Unix.access dir [ Unix.W_OK ]
-   with Unix.Unix_error _ ->
-     usage_error (Printf.sprintf "%s: directory %s is not writable" flag dir));
-  if Sys.file_exists path && Sys.is_directory path then
-    usage_error (Printf.sprintf "%s: %s is a directory" flag path)
-
-let parse_args () =
-  let int_value flag rest k =
-    match rest with
-    | v :: rest -> (
-        match int_of_string_opt v with
-        | Some n -> k n rest
-        | None ->
-            usage_error
-              (Printf.sprintf "%s expects an integer value, got %S" flag v))
-    | [] -> usage_error (Printf.sprintf "%s expects an integer value" flag)
-  in
-  let string_value flag rest k =
-    match rest with
-    | v :: rest -> k v rest
-    | [] -> usage_error (Printf.sprintf "%s expects a value" flag)
-  in
-  let rec go = function
-    | [] -> ()
-    | "--fast" :: rest ->
-        params := { !params with arrivals = 2000 };
-        go rest
-    | "--arrivals" :: rest ->
-        int_value "--arrivals" rest (fun n rest ->
-            if n < 1 then usage_error "--arrivals must be >= 1";
-            params := { !params with arrivals = n };
-            go rest)
-    | "--seed" :: rest ->
-        int_value "--seed" rest (fun n rest ->
-            params := { !params with seed = n };
-            go rest)
-    | "--jobs" :: rest ->
-        int_value "--jobs" rest (fun n rest ->
-            if n < 1 then usage_error "--jobs must be >= 1";
-            Par.set_default_domains n;
-            go rest)
-    | "--log-level" :: rest ->
-        string_value "--log-level" rest (fun v rest ->
-            (match Obs_log.level_of_string v with
-            | Ok level -> Obs_log.set_level level
-            | Error msg -> usage_error msg);
-            go rest)
-    | "--log-json" :: rest ->
-        string_value "--log-json" rest (fun path rest ->
-            Obs_log.open_json_file path;
-            go rest)
-    | "--metrics-out" :: rest ->
-        string_value "--metrics-out" rest (fun path rest ->
-            check_writable "--metrics-out" path;
-            metrics_out := Some path;
-            Span.set_enabled true;
-            Cm_obs.Series.set_enabled true;
-            go rest)
-    | "--trace-out" :: rest ->
-        string_value "--trace-out" rest (fun path rest ->
-            check_writable "--trace-out" path;
-            trace_out := Some path;
-            Cm_obs.Trace.set_enabled true;
-            go rest)
-    | ("--help" | "-h") :: _ ->
-        usage stdout;
-        exit 0
-    | flag :: _ when String.length flag >= 2 && String.sub flag 0 2 = "--" ->
-        usage_error (Printf.sprintf "unknown option %s" flag)
-    | name :: rest ->
-        if not (List.mem name known_sections) then
-          usage_error (Printf.sprintf "unknown section %S" name);
-        requested := name :: !requested;
-        go rest
-  in
-  go (List.tl (Array.to_list Sys.argv))
-
-(* Wall time of [f ()] in seconds on the monotonic clock (the clock
-   the closed-loop benchmark uses), with the result; with [runs], the
-   fastest of that many runs (the earliest on a tie). *)
 let time ?(runs = 1) f =
   let once () =
     let t0 = Monotonic_clock.now () in
@@ -172,42 +23,29 @@ let time ?(runs = 1) f =
   done;
   !best
 
-let section name f =
-  if !requested = [] || List.mem name !requested then begin
-    Printf.printf "\n=== %s ===\n%!" name;
-    let wall, () = time f in
-    Printf.printf "[%s finished in %.1fs]\n%!" name wall
-  end
+let gauge name v = Metrics.set (Metrics.gauge name) v
+let flag b = if b then 1. else 0.
 
-let print_tables tables = List.iter Table.print tables
+let bing_pool seed =
+  Cm_workload.Pool.scale_to_bmax
+    (Cm_workload.Pool.bing_like ~seed ())
+    ~bmax:800.
 
-(* Place/release hot-path microbenchmark at fig-8 scale: one simulated
-   arrival/departure point on the paper's 2048-server datacenter with the
-   CM scheduler.  Each arrival is one [place], each departure one
-   [release]; the run reports the sustained decision throughput and the
-   wall time of the whole simulated point (best of 3 runs).  Results are
-   exported as [bench.placement.*] gauges so a [--metrics-out] document
-   carries the perf-trajectory point (see BENCH_pr3.json). *)
-let g_tenants_per_sec = Metrics.gauge "bench.placement.tenants_per_sec"
-let g_ops_per_sec = Metrics.gauge "bench.placement.ops_per_sec"
-let g_wall_s = Metrics.gauge "bench.placement.fig8_point_wall_s"
-let g_arrivals = Metrics.gauge "bench.placement.arrivals"
-
-let placement_bench () =
-  let p = !params in
-  let pool =
-    Cm_workload.Pool.scale_to_bmax
-      (Cm_workload.Pool.bing_like ~seed:p.seed ())
-      ~bmax:800.
-  in
+(* Place/release hot path at fig-8 scale: one simulated arrival/departure
+   point on the paper's 2048-server datacenter with the CM scheduler.
+   Each arrival is one [place], each departure one [release]; the run
+   reports the sustained decision throughput and the wall time of the
+   whole simulated point (best of 3 runs). *)
+let placement ~seed ~arrivals =
+  let pool = bing_pool seed in
   let run_once () =
     let tree = Cm_topology.Tree.create_default () in
     let sched = Cm_sim.Driver.cm tree in
     let cfg =
       {
         Cm_sim.Runner.default_config with
-        seed = p.seed;
-        n_arrivals = p.arrivals;
+        seed;
+        n_arrivals = arrivals;
         load = 0.9;
       }
     in
@@ -220,10 +58,10 @@ let placement_bench () =
   let ops = r.Cm_sim.Runner.arrivals + r.Cm_sim.Runner.accepted in
   let tenants_per_sec = float_of_int r.Cm_sim.Runner.arrivals /. wall in
   let ops_per_sec = float_of_int ops /. wall in
-  Metrics.set g_tenants_per_sec tenants_per_sec;
-  Metrics.set g_ops_per_sec ops_per_sec;
-  Metrics.set g_wall_s wall;
-  Metrics.set g_arrivals (float_of_int r.Cm_sim.Runner.arrivals);
+  gauge "bench.placement.tenants_per_sec" tenants_per_sec;
+  gauge "bench.placement.ops_per_sec" ops_per_sec;
+  gauge "bench.placement.fig8_point_wall_s" wall;
+  gauge "bench.placement.arrivals" (float_of_int r.Cm_sim.Runner.arrivals);
   let t =
     Table.create
       ~caption:
@@ -231,7 +69,7 @@ let placement_bench () =
            "Placement hot path: CM place/release churn on the default \
             2048-server tree (load 0.9, Bmax 800, seed %d; best of 3 \
             interleaved runs)"
-           p.seed)
+           seed)
       [ ("metric", Table.Left); ("value", Table.Right) ]
   in
   Table.add_row t [ "arrivals (place calls)"; string_of_int r.arrivals ];
@@ -246,7 +84,7 @@ let placement_bench () =
       "mean time per decision";
       Printf.sprintf "%.1f us" (1e6 *. wall /. float_of_int r.arrivals);
     ];
-  Table.print t
+  [ t ]
 
 (* Region-scale placement sweep: the same simulated arrival/departure
    point at 2,048 -> 131,072 servers through the sequential scheduler
@@ -254,13 +92,7 @@ let placement_bench () =
    pod-sharded epoch-batched path.  After every run the index must
    match a from-scratch rebuild ([Tree.index_verify]), and the batched
    run must be bit-identical at jobs 1 vs the session's jobs count.
-   Exported as [bench.placement_scale.*] gauges (per-size values keyed
-   by server count) so the CI gate carries the sweep. *)
-let g_ps_servers_max = Metrics.gauge "bench.placement_scale.servers_max"
-let g_ps_index_verified =
-  Metrics.gauge "bench.placement_scale.index_verified"
-let g_ps_jobs_invariant = Metrics.gauge "bench.placement_scale.jobs_invariant"
-
+   Per-size gauges are keyed by server count. *)
 let scale_specs =
   [
     (2_048, [ 8; 16; 16 ], [ 4.; 8. ]);
@@ -269,16 +101,11 @@ let scale_specs =
     (131_072, [ 64; 8; 16; 16 ], [ 4.; 8.; 4. ]);
   ]
 
-let placement_scale_bench () =
+let placement_scale ~seed ~arrivals =
   let module Tree = Cm_topology.Tree in
   let module Runner = Cm_sim.Runner in
   let module Shard = Cm_placement.Shard in
-  let p = !params in
-  let pool =
-    Cm_workload.Pool.scale_to_bmax
-      (Cm_workload.Pool.bing_like ~seed:p.seed ())
-      ~bmax:800.
-  in
+  let pool = bing_pool seed in
   let digest (r : Runner.result) =
     Printf.sprintf "%d/%d/%d/%d/%d/%d/%d/%.3f/%.3f/%.6f/%d/%.6f" r.arrivals
       r.accepted r.rejected r.rejected_no_slots r.rejected_no_bw r.offered_vms
@@ -287,12 +114,7 @@ let placement_scale_bench () =
       (Array.fold_left ( +. ) 0. r.wcs_per_component)
   in
   let cfg =
-    {
-      Runner.default_config with
-      seed = p.seed;
-      n_arrivals = p.arrivals;
-      load = 0.9;
-    }
+    { Runner.default_config with seed; n_arrivals = arrivals; load = 0.9 }
   in
   let make_tree degrees oversub =
     Tree.create { Tree.default_spec with degrees; oversub }
@@ -304,7 +126,7 @@ let placement_scale_bench () =
            "Region-scale placement: availability index vs pod-sharded \
             batching (load 0.9, Bmax 800, seed %d, %d arrivals per size, \
             batch jobs %d)"
-           p.seed p.arrivals (Par.default_domains ()))
+           seed arrivals (Par.default_domains ()))
       [
         ("servers", Table.Right);
         ("indexed dec/s", Table.Right);
@@ -317,11 +139,8 @@ let placement_scale_bench () =
   let servers_max = ref 0 in
   List.iter
     (fun (servers, degrees, oversub) ->
-      let gauge fmt v =
-        Metrics.set
-          (Metrics.gauge
-             (Printf.sprintf "bench.placement_scale.%s.%d" fmt servers))
-          v
+      let size_gauge fmt v =
+        gauge (Printf.sprintf "bench.placement_scale.%s.%d" fmt servers) v
       in
       let verified = ref true in
       let check_index tree =
@@ -357,16 +176,14 @@ let placement_scale_bench () =
           servers
       end;
       let dps wall = float_of_int cfg.Runner.n_arrivals /. wall in
-      gauge "indexed_dps" (dps idx_wall);
-      gauge "batched_dps" (dps bat_wall);
-      gauge "index_marks" (float_of_int marks);
-      gauge "index_cleans" (float_of_int cleans);
-      if Cm_obs.Series.enabled () then begin
+      size_gauge "indexed_dps" (dps idx_wall);
+      size_gauge "batched_dps" (dps bat_wall);
+      size_gauge "index_marks" (float_of_int marks);
+      size_gauge "index_cleans" (float_of_int cleans);
+      if Series.enabled () then begin
         let x = float_of_int servers in
-        Cm_obs.Series.sample_named "placement_scale.indexed_dps" ~x
-          (dps idx_wall);
-        Cm_obs.Series.sample_named "placement_scale.batched_dps" ~x
-          (dps bat_wall)
+        Series.sample_named "placement_scale.indexed_dps" ~x (dps idx_wall);
+        Series.sample_named "placement_scale.batched_dps" ~x (dps bat_wall)
       end;
       servers_max := servers;
       Table.add_row t
@@ -377,26 +194,20 @@ let placement_scale_bench () =
           (if !verified then "yes" else "NO");
         ])
     scale_specs;
-  Metrics.set g_ps_servers_max (float_of_int !servers_max);
-  Metrics.set g_ps_index_verified (if !index_verified then 1. else 0.);
-  Metrics.set g_ps_jobs_invariant (if !jobs_invariant then 1. else 0.);
-  Table.print t;
+  gauge "bench.placement_scale.servers_max" (float_of_int !servers_max);
+  gauge "bench.placement_scale.index_verified" (flag !index_verified);
+  gauge "bench.placement_scale.jobs_invariant" (flag !jobs_invariant);
   if not !index_verified then
     failwith "placement-scale: availability index diverged from a rebuild";
   if not !jobs_invariant then
-    failwith "placement-scale: batched placement is not jobs-invariant"
+    failwith "placement-scale: batched placement is not jobs-invariant";
+  [ t ]
 
-(* Enforcement control-loop benchmark: one big two-tier tenant with
-   every src VM talking to every dst VM (10k+ concurrent flows over
-   3-link paths), driven for a fixed number of control periods through
-   the epoch-compiled array loop (Runtime.run).  Results are exported as
-   [bench.enforce.*] gauges. *)
-let g_enf_flows = Metrics.gauge "bench.enforce.flows"
-let g_enf_links = Metrics.gauge "bench.enforce.links"
-let g_enf_periods = Metrics.gauge "bench.enforce.periods"
-let g_enf_new_us = Metrics.gauge "bench.enforce.period_us_new"
-
-let enforce_bench () =
+(* Enforcement control loop: one big two-tier tenant with every src VM
+   talking to every dst VM (10k+ concurrent flows over 3-link paths),
+   driven for a fixed number of control periods through the
+   epoch-compiled array loop (Runtime.run). *)
+let enforce ~seed:_ ~arrivals:_ =
   let module Runtime = Cm_enforce.Runtime in
   let module Elastic = Cm_enforce.Elastic in
   let module Maxmin = Cm_enforce.Maxmin in
@@ -434,19 +245,22 @@ let enforce_bench () =
     List.init
       (src_racks + cores + dst_racks)
       (fun id ->
-        let capacity = if id >= src_racks && id < src_racks + cores then 40_000. else 10_000. in
+        let capacity =
+          if id >= src_racks && id < src_racks + cores then 40_000.
+          else 10_000.
+        in
         { Maxmin.link_id = id; capacity })
   in
-  let new_wall, _ =
+  let wall, _ =
     time ~runs:3 (fun () ->
         let rt = Runtime.create ~tag ~enforcement:Elastic.Tag_gp ~links () in
         Runtime.run rt ~flows ~periods)
   in
-  let new_us = 1e6 *. new_wall /. float_of_int periods in
-  Metrics.set g_enf_flows (float_of_int n_flows);
-  Metrics.set g_enf_links (float_of_int (List.length links));
-  Metrics.set g_enf_periods (float_of_int periods);
-  Metrics.set g_enf_new_us new_us;
+  let period_us = 1e6 *. wall /. float_of_int periods in
+  gauge "bench.enforce.flows" (float_of_int n_flows);
+  gauge "bench.enforce.links" (float_of_int (List.length links));
+  gauge "bench.enforce.periods" (float_of_int periods);
+  gauge "bench.enforce.period_us_new" period_us;
   let t =
     Table.create
       ~caption:
@@ -459,8 +273,8 @@ let enforce_bench () =
   Table.add_row t [ "flows"; string_of_int n_flows ];
   Table.add_row t [ "links"; string_of_int (List.length links) ];
   Table.add_row t [ "control periods"; string_of_int periods ];
-  Table.add_row t [ "period"; Printf.sprintf "%.0f us" new_us ];
-  Table.print t
+  Table.add_row t [ "period"; Printf.sprintf "%.0f us" period_us ];
+  [ t ]
 
 (* Million-flow steady-state enforcement: the persistent incremental
    max-min solver (Maxmin.Inc) races the from-scratch oracle
@@ -470,18 +284,12 @@ let enforce_bench () =
    ~d% of the components and the incremental re-converge cost scales
    with the delta, not the population.  Every epoch the incremental
    rates are compared bitwise against the oracle, and a second solver
-   replays the same trace at 1 domain to pin jobs invariance; the bench
-   fails loudly on either divergence.  Results are exported as
-   [bench.enforce_scale.*] gauges (see BENCH_pr9.json). *)
-let g_es_flows_max = Metrics.gauge "bench.enforce_scale.flows_max"
-let g_es_speedup_top = Metrics.gauge "bench.enforce_scale.speedup_top"
-let g_es_oracle_match = Metrics.gauge "bench.enforce_scale.oracle_match"
-let g_es_jobs_invariant = Metrics.gauge "bench.enforce_scale.jobs_invariant"
-
-let enforce_scale_bench () =
+   replays the same trace at 1 domain to pin jobs invariance; the
+   section fails loudly on either divergence.  Below 10,000 arrivals it
+   runs the fast sizes. *)
+let enforce_scale ~seed ~arrivals =
   let module Maxmin = Cm_enforce.Maxmin in
-  let p = !params in
-  let fast = p.arrivals < 10_000 in
+  let fast = arrivals < 10_000 in
   let sizes =
     if fast then [ 10_240; 40_960 ] else [ 10_240; 102_400; 1_024_000 ]
   in
@@ -495,7 +303,7 @@ let enforce_scale_bench () =
            "Steady-state enforcement at scale: incremental max-min \
             (Maxmin.Inc) vs from-scratch oracle across %d churn epochs \
             (1%%/10%% of pods per epoch, %d flows per pod, seed %d, jobs %d)"
-           churn_epochs flows_per_pod p.seed (Par.default_domains ()))
+           churn_epochs flows_per_pod seed (Par.default_domains ()))
       [
         ("flows", Table.Right);
         ("pods", Table.Right);
@@ -556,7 +364,7 @@ let enforce_scale_bench () =
          churn epochs. *)
       Maxmin.Inc.solve ~domains:(Par.default_domains ()) inc;
       Maxmin.Inc.solve ~domains:1 inc1;
-      let rng = Random.State.make [| p.seed; n_flows |] in
+      let rng = Random.State.make [| seed; n_flows |] in
       let churn_pods frac =
         let n_touch = max 1 (int_of_float (frac *. float_of_int n_pods)) in
         for _ = 1 to n_touch do
@@ -570,9 +378,7 @@ let enforce_scale_bench () =
               demands.(id) <- fresh_demand k (Random.State.bool rng)
             end
             else if present.(id) && r < 0.6 then
-              demands.(id) <- fresh_demand k (Random.State.bool rng)
-            else if not present.(id) then ()
-            else ();
+              demands.(id) <- fresh_demand k (Random.State.bool rng);
             apply id
           done
         done
@@ -618,20 +424,18 @@ let enforce_scale_bench () =
       let inc_us = 1e6 *. !inc_total /. float_of_int churn_epochs in
       let speedup = cold_us /. inc_us in
       let resolved = !resolved_frac /. float_of_int churn_epochs in
-      let gauge fmt v =
-        Metrics.set
-          (Metrics.gauge (Printf.sprintf "bench.enforce_scale.%s.%d" fmt n_flows))
-          v
+      let size_gauge fmt v =
+        gauge (Printf.sprintf "bench.enforce_scale.%s.%d" fmt n_flows) v
       in
-      gauge "cold_us" cold_us;
-      gauge "inc_us" inc_us;
-      gauge "speedup" speedup;
-      gauge "resolved_frac" resolved;
-      if Cm_obs.Series.enabled () then begin
+      size_gauge "cold_us" cold_us;
+      size_gauge "inc_us" inc_us;
+      size_gauge "speedup" speedup;
+      size_gauge "resolved_frac" resolved;
+      if Series.enabled () then begin
         let x = float_of_int n_flows in
-        Cm_obs.Series.sample_named "enforce_scale.speedup" ~x speedup;
-        Cm_obs.Series.sample_named "enforce_scale.inc_us" ~x inc_us;
-        Cm_obs.Series.sample_named "enforce_scale.cold_us" ~x cold_us
+        Series.sample_named "enforce_scale.speedup" ~x speedup;
+        Series.sample_named "enforce_scale.inc_us" ~x inc_us;
+        Series.sample_named "enforce_scale.cold_us" ~x cold_us
       end;
       speedup_top := speedup;
       flows_max := n_flows;
@@ -646,15 +450,15 @@ let enforce_scale_bench () =
           (if !oracle_match then "yes" else "NO");
         ])
     sizes;
-  Metrics.set g_es_flows_max (float_of_int !flows_max);
-  Metrics.set g_es_speedup_top !speedup_top;
-  Metrics.set g_es_oracle_match (if !oracle_match then 1. else 0.);
-  Metrics.set g_es_jobs_invariant (if !jobs_invariant then 1. else 0.);
-  Table.print t;
+  gauge "bench.enforce_scale.flows_max" (float_of_int !flows_max);
+  gauge "bench.enforce_scale.speedup_top" !speedup_top;
+  gauge "bench.enforce_scale.oracle_match" (flag !oracle_match);
+  gauge "bench.enforce_scale.jobs_invariant" (flag !jobs_invariant);
   if not !oracle_match then
     failwith "enforce-scale: incremental solver diverged from the oracle";
   if not !jobs_invariant then
-    failwith "enforce-scale: incremental solve is not jobs-invariant"
+    failwith "enforce-scale: incremental solve is not jobs-invariant";
+  [ t ]
 
 (* TAG-inference hot path: an 8-tier pipeline tenant at
    n ∈ {128, 512, 1024} VMs, traffic generated sparsely, then the
@@ -662,19 +466,12 @@ let enforce_scale_bench () =
    Louvain over adjacency rows -> guarantees), best of 3.  Each size
    prints its label digest, which must not move when the pipeline is
    rewritten (the test suite checks the labels bit for bit against the
-   dense oracle), and the AMI against the generator's truth.  Results
-   are exported as [bench.inference.*] gauges (see BENCH_pr5.json); the
+   dense oracle), and the AMI against the generator's truth.  The
    unsuffixed gauges are taken at the largest size. *)
-let g_inf_n = Metrics.gauge "bench.inference.n_vms"
-let g_inf_nnz = Metrics.gauge "bench.inference.traffic_nnz"
-let g_inf_density = Metrics.gauge "bench.inference.traffic_density"
-let g_inf_csr_ms = Metrics.gauge "bench.inference.csr_ms"
-
-let inference_bench () =
+let inference ~seed ~arrivals:_ =
   let module Csr = Cm_util.Csr in
   let module Tm = Cm_inference.Traffic_matrix in
   let module Infer = Cm_inference.Infer in
-  let p = !params in
   let pipeline_tag n =
     let tiers = 8 in
     let per = n / tiers in
@@ -698,7 +495,7 @@ let inference_bench () =
            "Inference hot path: Infer.infer (mean -> similarity projection \
             -> Louvain -> guarantees) of an 8-tier pipeline tenant (8 \
             epochs, noise 0.005, seed %d; best of 3)"
-           p.seed)
+           seed)
       [
         ("VMs", Table.Right);
         ("traffic nnz", Table.Right);
@@ -711,7 +508,7 @@ let inference_bench () =
   in
   List.iter
     (fun n ->
-      let rng = Cm_util.Rng.create (p.seed + n) in
+      let rng = Cm_util.Rng.create (seed + n) in
       let tm =
         Span.with_ "inference.generate" (fun () ->
             Tm.generate ~noise_prob:0.005 ~rng (pipeline_tag n))
@@ -724,13 +521,11 @@ let inference_bench () =
       let density =
         float_of_int nnz /. float_of_int (n * n * Array.length tm.Tm.epochs)
       in
-      Metrics.set g_inf_n (float_of_int n);
-      Metrics.set g_inf_nnz (float_of_int nnz);
-      Metrics.set g_inf_density density;
-      Metrics.set g_inf_csr_ms (1e3 *. wall);
-      Metrics.set
-        (Metrics.gauge (Printf.sprintf "bench.inference.ami.%d" n))
-        ami;
+      gauge "bench.inference.n_vms" (float_of_int n);
+      gauge "bench.inference.traffic_nnz" (float_of_int nnz);
+      gauge "bench.inference.traffic_density" density;
+      gauge "bench.inference.csr_ms" (1e3 *. wall);
+      gauge (Printf.sprintf "bench.inference.ami.%d" n) ami;
       Table.add_row t
         [
           string_of_int n;
@@ -742,7 +537,7 @@ let inference_bench () =
           Printf.sprintf "%016x" (digest r.Infer.labels);
         ])
     [ 128; 512; 1024 ];
-  Table.print t
+  [ t ]
 
 (* Streaming TAG inference: the incremental engine (Cm_inference.Stream)
    ingesting drifting traffic epochs, raced per epoch against the
@@ -754,16 +549,9 @@ let inference_bench () =
    from-scratch pipeline (bitwise mean / projection / peaks, AMI parity
    on labels), bitwise jobs-invariance of the streamed state, a run at
    the smallest size with [Stream.verify] after every push, and the
-   >= 5x per-epoch speedup bar at 16,384 VMs on full runs.  Exported as
-   [bench.inference_stream.*] gauges (see BENCH_pr10.json). *)
-let g_is_n_max = Metrics.gauge "bench.inference_stream.n_vms_max"
-let g_is_parity = Metrics.gauge "bench.inference_stream.parity"
-let g_is_checked = Metrics.gauge "bench.inference_stream.checked_ok"
-let g_is_ami_min = Metrics.gauge "bench.inference_stream.ami_min"
-let g_is_jobs = Metrics.gauge "bench.inference_stream.jobs_invariant"
-let g_is_speedup_top = Metrics.gauge "bench.inference_stream.speedup_top"
-
-let inference_stream_bench () =
+   >= 5x per-epoch speedup bar at 16,384 VMs on full runs (10,000
+   arrivals or more; fewer run the fast sizes). *)
+let inference_stream ~seed ~arrivals =
   let module Csr = Cm_util.Csr in
   let module Tm = Cm_inference.Traffic_matrix in
   let module Similarity = Cm_inference.Similarity in
@@ -771,8 +559,7 @@ let inference_stream_bench () =
   let module Infer = Cm_inference.Infer in
   let module Stream = Cm_inference.Stream in
   let module Ami = Cm_inference.Ami in
-  let p = !params in
-  let fast = p.arrivals < 10_000 in
+  let fast = arrivals < 10_000 in
   let sizes = if fast then [ 1_024; 4_096 ] else [ 1_024; 4_096; 16_384 ] in
   let tier = 64 in
   let steady_epochs = 8 in
@@ -799,7 +586,7 @@ let inference_stream_bench () =
            "Streaming TAG inference: incremental engine vs from-scratch \
             pipeline per epoch over a %d-epoch window (%d steady epochs, 2 \
             rate + periodic role drifters, seed %d, jobs %d)"
-           window steady_epochs p.seed (Par.default_domains ()))
+           window steady_epochs seed (Par.default_domains ()))
       [
         ("VMs", Table.Right);
         ("comps", Table.Right);
@@ -817,7 +604,7 @@ let inference_stream_bench () =
   List.iter
     (fun n ->
       let tag = ring_tag n in
-      let rng = Cm_util.Rng.create (p.seed + n) in
+      let rng = Cm_util.Rng.create (seed + n) in
       let d = Tm.Drift.create ~rng tag in
       let prefix = Printf.sprintf "infer.stream.%d" n in
       let s = Stream.create ~series_prefix:prefix ~n () in
@@ -897,22 +684,19 @@ let inference_stream_bench () =
       let inc_ms = 1e3 *. !inc_total /. float_of_int steady_epochs in
       let speedup = cold_ms /. inc_ms in
       let dirty = !dirty_total /. float_of_int steady_epochs in
-      let gauge fmt v =
-        Metrics.set
-          (Metrics.gauge
-             (Printf.sprintf "bench.inference_stream.%s.%d" fmt n))
-          v
+      let size_gauge fmt v =
+        gauge (Printf.sprintf "bench.inference_stream.%s.%d" fmt n) v
       in
-      gauge "cold_ms" cold_ms;
-      gauge "inc_ms" inc_ms;
-      gauge "speedup" speedup;
-      gauge "dirty_frac" dirty;
-      gauge "drift_events" (float_of_int !events);
-      if Cm_obs.Series.enabled () then begin
+      size_gauge "cold_ms" cold_ms;
+      size_gauge "inc_ms" inc_ms;
+      size_gauge "speedup" speedup;
+      size_gauge "dirty_frac" dirty;
+      size_gauge "drift_events" (float_of_int !events);
+      if Series.enabled () then begin
         let x = float_of_int n in
-        Cm_obs.Series.sample_named "inference_stream.speedup" ~x speedup;
-        Cm_obs.Series.sample_named "inference_stream.inc_ms" ~x inc_ms;
-        Cm_obs.Series.sample_named "inference_stream.cold_ms" ~x cold_ms
+        Series.sample_named "inference_stream.speedup" ~x speedup;
+        Series.sample_named "inference_stream.inc_ms" ~x inc_ms;
+        Series.sample_named "inference_stream.cold_ms" ~x cold_ms
       end;
       speedup_last := speedup;
       n_max := n;
@@ -932,7 +716,7 @@ let inference_stream_bench () =
      pipeline (Stream.verify), stopping at the first divergence. *)
   let checked_ok =
     let n = List.hd sizes in
-    let rng = Cm_util.Rng.create (p.seed + 1) in
+    let rng = Cm_util.Rng.create (seed + 1) in
     let d = Tm.Drift.create ~rng (ring_tag n) in
     let s = Stream.create ~n () in
     let rec go epoch =
@@ -949,13 +733,12 @@ let inference_stream_bench () =
     in
     go 1
   in
-  Metrics.set g_is_n_max (float_of_int !n_max);
-  Metrics.set g_is_parity (if !parity then 1. else 0.);
-  Metrics.set g_is_checked (if checked_ok then 1. else 0.);
-  Metrics.set g_is_ami_min !ami_min;
-  Metrics.set g_is_jobs (if !jobs_invariant then 1. else 0.);
-  Metrics.set g_is_speedup_top !speedup_last;
-  Table.print t;
+  gauge "bench.inference_stream.n_vms_max" (float_of_int !n_max);
+  gauge "bench.inference_stream.parity" (flag !parity);
+  gauge "bench.inference_stream.checked_ok" (flag checked_ok);
+  gauge "bench.inference_stream.ami_min" !ami_min;
+  gauge "bench.inference_stream.jobs_invariant" (flag !jobs_invariant);
+  gauge "bench.inference_stream.speedup_top" !speedup_last;
   if not !parity then
     failwith "inference-stream: incremental state diverged from cold";
   if not !jobs_invariant then
@@ -967,56 +750,22 @@ let inference_stream_bench () =
       (Printf.sprintf
          "inference-stream: %.1fx per-epoch speedup at %d VMs is below the \
           5x bar"
-         !speedup_last !n_max)
+         !speedup_last !n_max);
+  [ t ]
 
-let write_metrics path =
-  let p = !params in
-  let extra =
-    [
-      ( "run",
-        Json.Object
-          [
-            ("harness", Json.String "bench/main.exe");
-            ("seed", Json.Number (float_of_int p.seed));
-            ("arrivals", Json.Number (float_of_int p.arrivals));
-            ("jobs", Json.Number (float_of_int (Par.default_domains ())));
-            ( "sections",
-              Json.Array
-                (List.map
-                   (fun s -> Json.String s)
-                   (if !requested = [] then known_sections
-                    else List.rev !requested)) );
-          ] );
-    ]
-  in
-  Metrics.write_file ~extra path;
-  Printf.printf "wrote metrics document to %s\n%!" path
-
-let () =
-  parse_args ();
-  let p () = !params in
-  Printf.printf
-    "CloudMirror benchmark harness (seed %d, %d arrivals per simulated \
-     point, %d worker domains)\n"
-    (p ()).seed (p ()).arrivals (Par.default_domains ());
-  List.iter
-    (fun (name, run) -> section name (fun () -> print_tables (run ())))
-    (E.sections ~params:(p ()));
-  section "placement" (fun () -> Span.with_ "section.placement" placement_bench);
-  section "placement-scale" (fun () ->
-      Span.with_ "section.placement_scale" placement_scale_bench);
-  section "enforce" (fun () -> Span.with_ "section.enforce" enforce_bench);
-  section "enforce-scale" (fun () ->
-      Span.with_ "section.enforce_scale" enforce_scale_bench);
-  section "inference" (fun () ->
-      Span.with_ "section.inference" inference_bench);
-  section "inference-stream" (fun () ->
-      Span.with_ "section.inference_stream" inference_stream_bench);
-  (match !metrics_out with Some path -> write_metrics path | None -> ());
-  (match !trace_out with
-  | Some path ->
-      Cm_obs.Trace.write_file path;
-      Printf.printf "wrote %d trace events (%d dropped) to %s\n%!"
-        (Cm_obs.Trace.recorded ()) (Cm_obs.Trace.dropped ()) path
-  | None -> ());
-  print_newline ()
+(* Span labels take the section name with dashes as underscores
+   ("section.placement_scale"), the names the CI gates read. *)
+let sections ~seed ~arrivals =
+  [
+    ("placement", placement);
+    ("placement-scale", placement_scale);
+    ("enforce", enforce);
+    ("enforce-scale", enforce_scale);
+    ("inference", inference);
+    ("inference-stream", inference_stream);
+  ]
+  |> List.map (fun (name, run) ->
+         let label =
+           "section." ^ String.map (function '-' -> '_' | c -> c) name
+         in
+         (name, fun () -> Span.with_ label (fun () -> run ~seed ~arrivals)))

@@ -7,8 +7,8 @@
     sequential run — the determinism contract every experiment sweep in
     this repository relies on.
 
-    The pool size defaults to {!default_domains}, which bench/main.exe and
-    bin/cloudmirror.exe override from [--jobs].  With one domain (or a
+    The pool size defaults to {!default_domains}, which
+    bin/cloudmirror.exe overrides from [--jobs].  With one domain (or a
     single-core host) every combinator degrades to its plain [List]
     equivalent, with no domains spawned at all. *)
 

@@ -1,6 +1,6 @@
-(** Plain-text table rendering for the benchmark harness: aligned columns,
-    a header rule, and optional caption — the same "rows the paper reports"
-    style used throughout [bench/main.ml]. *)
+(** Plain-text table rendering for the experiment sections: aligned
+    columns, a header rule, and optional caption — the "rows the paper
+    reports" style of every [cloudmirror experiment] table. *)
 
 type align = Left | Right
 

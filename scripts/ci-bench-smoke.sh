@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# CI bench smoke: run one bench section with telemetry on and gate the
-# metrics document it writes.
+# CI bench smoke: run one experiment section with telemetry on and gate
+# the metrics document it writes.
 #
-#   scripts/ci-bench-smoke.sh <section> [bench args...]
+#   scripts/ci-bench-smoke.sh <section> [experiment args...]
 #
-# <section> is any name from the bench dispatch table
-# (Cm_experiments.Experiments.sections plus the microbenchmark
-# sections); passing an unknown name fails fast with the bench usage
-# message, so this script and the experiment library cannot drift.  The
+# <section> is any name from Cm_experiments.Experiments.sections (the
+# paper's tables and figures plus the scale benchmarks); an unknown name
+# fails fast with `cloudmirror experiment`'s usage message, so this
+# script and the experiment library cannot drift.  The
 # document lands in bench_<section>.json (dashes become underscores) and
 # the causal trace in bench_<section>_trace.json alongside it.
 #
@@ -18,7 +18,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-  echo "usage: $0 <section> [bench args...]" >&2
+  echo "usage: $0 <section> [experiment args...]" >&2
   exit 2
 fi
 
@@ -36,7 +36,7 @@ run() {
   fi
 }
 
-run dune exec bench/main.exe -- "$@" "$section" \
+run dune exec bin/cloudmirror.exe -- experiment "$@" "$section" \
   --metrics-out "$out" --trace-out "$trace"
 
 gate="$here/gates/${section//-/_}.py"

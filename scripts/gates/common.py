@@ -1,7 +1,7 @@
 """Shared helpers for the CI bench-smoke gates.
 
 A gate receives the path of a metrics document written by
-``bench/main.exe --metrics-out`` and asserts schema and content
+``cloudmirror experiment --metrics-out`` and asserts schema and content
 invariants.  Gates never assert wall-clock durations -- CI machines are
 too noisy -- only presence, counts, and order relations.
 """

@@ -10,7 +10,7 @@ import common
 
 #: Minor words per placement call, over the ``place.CM`` and
 #: ``place.OVOC`` spans together, measured with
-#: ``scripts/ci-bench-smoke.sh fig8 --fast --arrivals 200``:
+#: ``scripts/ci-bench-smoke.sh fig8 --arrivals 200``:
 #: 120,381,881 words over 4,000 calls.  Each span counts the words of
 #: the domain that ran it, so the sum covers every domain and reads the
 #: same at any ``--jobs`` (within 16 words), unlike ``section.fig8``,

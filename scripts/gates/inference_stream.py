@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import common
 
 #: Minor words per ``infer.stream.push`` span measured with
-#: ``scripts/ci-bench-smoke.sh inference-stream --fast --jobs 2`` on the
+#: ``scripts/ci-bench-smoke.sh inference-stream --jobs 2`` on the
 #: engine before the row-part cache, which adds about 2% (2,026,708 to
 #: 2,026,981 on three runs).  The span covers warm-up (full-pipeline)
 #: pushes too, and counts the calling domain only, so the count moves

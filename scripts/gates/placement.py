@@ -11,12 +11,13 @@ import sys
 sys.path.insert(0, os.path.dirname(__file__))
 import common
 
-#: ``placement_bench`` (bench/main.ml) runs the simulated point this many
-#: times inside the ``section.placement`` span and keeps the fastest.
+#: The ``placement`` section (lib/experiments/scale.ml) runs the
+#: simulated point this many times inside the ``section.placement`` span
+#: and keeps the fastest.
 RUNS = 3
 
 #: Minor words per arrival measured with
-#: ``scripts/ci-bench-smoke.sh placement --fast --jobs 1`` once the
+#: ``scripts/ci-bench-smoke.sh placement --jobs 1`` once the
 #: placement hot path priced Eq. 1 over the flat edge view (the parent
 #: of that change measured 7,079).  The budget leaves 50% headroom.
 MEASURED_WORDS_PER_ARRIVAL = 5160

@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import common
 
 #: Minor words per ``place.CM`` call, measured with
-#: ``scripts/ci-bench-smoke.sh placement-scale --fast --arrivals 200
+#: ``scripts/ci-bench-smoke.sh placement-scale --arrivals 200
 #: --jobs 2`` (3,218,640 words over 800 calls, the same in three runs).
 #: These are the indexed runs' placements, made on the calling domain,
 #: so the count is exact at any ``--jobs``; ``shard.place_batch`` and

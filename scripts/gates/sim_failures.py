@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 import common
 
 #: Minor words in the ``section.sim-failures`` span measured with
-#: ``scripts/ci-bench-smoke.sh sim-failures --fast --arrivals 400 --jobs 1``
+#: ``scripts/ci-bench-smoke.sh sim-failures --arrivals 400 --jobs 1``
 #: (one domain, so the count repeats to the word): 22,839,160.  The
 #: budget leaves 50% headroom.
 MEASURED_WORDS = 22839160

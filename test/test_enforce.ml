@@ -361,16 +361,18 @@ let test_runtime_recovers_after_burst () =
   let rt = fig13_runtime () in
   ignore (Runtime.run rt ~flows:(fig13_flows 0) ~periods:40);
   let solo =
-    Runtime.throughput_of (Runtime.step rt ~flows:(fig13_flows 0)) x_pair
+    Runtime.throughput_of
+      (Runtime.run rt ~flows:(fig13_flows 0) ~periods:1)
+      x_pair
   in
   Alcotest.(check bool) "solo gets ~everything" true (solo >= 900.);
   (* Burst arrives. *)
-  let after_one = Runtime.step rt ~flows:(fig13_flows 5) in
+  let after_one = Runtime.run rt ~flows:(fig13_flows 5) ~periods:1 in
   let dipped = Runtime.throughput_of after_one x_pair in
   Alcotest.(check bool) "dip happens" true (dipped < solo);
   let rec settle n last =
     if n = 0 then last
-    else settle (n - 1) (Runtime.step rt ~flows:(fig13_flows 5))
+    else settle (n - 1) (Runtime.run rt ~flows:(fig13_flows 5) ~periods:1)
   in
   let settled = settle 40 after_one in
   let x = Runtime.throughput_of settled x_pair in
@@ -393,7 +395,7 @@ let test_runtime_idle_demand_released () =
      well into the spare capacity and the idle flow stays at its demand. *)
   let peak = ref 0. and x_max = ref 0. in
   for _ = 1 to 10 do
-    let res = Runtime.step rt ~flows in
+    let res = Runtime.run rt ~flows ~periods:1 in
     peak := Float.max !peak
         (Runtime.throughput_of res { Elastic.src = ep 1 1; dst = ep 1 0 });
     x_max := Float.max !x_max (Runtime.throughput_of res x_pair)
@@ -410,7 +412,7 @@ let test_runtime_flow_set_changes () =
   ignore (Runtime.run rt ~flows:(fig13_flows 2) ~periods:30);
   (* Drop to one sender: the remaining pair keeps converging, the
      departed one is forgotten (its throughput is simply absent). *)
-  let res = Runtime.step rt ~flows:(fig13_flows 1) in
+  let res = Runtime.run rt ~flows:(fig13_flows 1) ~periods:1 in
   Alcotest.(check int) "two flows reported" 2 (List.length res);
   let x = Runtime.throughput_of res x_pair in
   Alcotest.(check bool) "X still protected" true (x >= 450. *. 0.9);
@@ -424,7 +426,7 @@ let test_runtime_unknown_link_rejected () =
     (fun () ->
       try
         ignore
-          (Runtime.step rt
+          (Runtime.run rt ~periods:1
              ~flows:[ { Runtime.pair = x_pair; path = [ 9 ]; demand = 1. } ])
       with Invalid_argument _ -> raise (Invalid_argument ""))
 
@@ -458,8 +460,8 @@ let test_runtime_limiter_survives_absence () =
   ignore (Runtime.run rt ~flows:(fig13_flows 0) ~periods:40);
   (* X departs for one control period; an intra-tier sender keeps the
      loop running. *)
-  ignore (Runtime.step rt ~flows:[ sender_flow 1 ]);
-  let back = Runtime.step rt ~flows:(fig13_flows 0) in
+  ignore (Runtime.run rt ~flows:[ sender_flow 1 ] ~periods:1);
+  let back = Runtime.run rt ~flows:(fig13_flows 0) ~periods:1 in
   let x = Runtime.throughput_of back x_pair in
   Alcotest.(check bool)
     (Printf.sprintf "first period back at %.0f >= 600 (not 450)" x)
@@ -471,9 +473,9 @@ let test_runtime_long_absence_decays_to_guarantee () =
   let rt = fig13_runtime () in
   ignore (Runtime.run rt ~flows:(fig13_flows 0) ~periods:40);
   for _ = 1 to 200 do
-    ignore (Runtime.step rt ~flows:[ sender_flow 1 ])
+    ignore (Runtime.run rt ~flows:[ sender_flow 1 ] ~periods:1)
   done;
-  let back = Runtime.step rt ~flows:(fig13_flows 0) in
+  let back = Runtime.run rt ~flows:(fig13_flows 0) ~periods:1 in
   let x = Runtime.throughput_of back x_pair in
   Alcotest.(check bool)
     (Printf.sprintf "after long absence %.0f starts near guarantee" x)
@@ -497,7 +499,8 @@ let test_runtime_headroom_consistent () =
   let max_x = ref 0. in
   for _ = 1 to 10 do
     max_x :=
-      Float.max !max_x (Runtime.throughput_of (Runtime.step rt ~flows) x_pair)
+      Float.max !max_x
+        (Runtime.throughput_of (Runtime.run rt ~flows ~periods:1) x_pair)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "peak %.1f <= effective capacity 750" !max_x)
@@ -630,9 +633,9 @@ let test_runtime_matches_reference () =
     a !b
 
 let test_runtime_step_loop_matches_run () =
-  (* Stepping period by period (recompiling every period, limiters
-     persisted through the hash table) is bit-identical to the compiled
-     epoch run. *)
+  (* One-period epochs (recompiling every period, limiters persisted
+     through the hash table) are bit-identical to one compiled
+     multi-period run. *)
   let tag = Cm_tag.Examples.fig13 () in
   let rt1 =
     Runtime.create ~tag ~enforcement:Elastic.Tag_gp ~links:diff_links ()
@@ -643,7 +646,7 @@ let test_runtime_step_loop_matches_run () =
   let a = Runtime.run rt1 ~flows:diff_flows ~periods:25 in
   let b = ref [] in
   for _ = 1 to 25 do
-    b := Runtime.step rt2 ~flows:diff_flows
+    b := Runtime.run rt2 ~flows:diff_flows ~periods:1
   done;
   List.iter2
     (fun (_, ra) (_, rb) ->

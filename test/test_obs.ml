@@ -1,8 +1,8 @@
 (* Tests for Cm_obs: JSON emit/parse, leveled structured logging,
    the domain-sharded metrics registry, timed spans, the determinism
    contract (telemetry observes, never perturbs), and the metrics
-   document written by bench/main.exe (generated by a dune rule into
-   bench_metrics.json). *)
+   document written by `cloudmirror experiment` (generated by a dune
+   rule into bench_metrics.json). *)
 
 module Json = Cm_obs.Json
 module Log = Cm_obs.Log
@@ -558,11 +558,8 @@ let test_sections_cheap_handler_runs () =
 (* {1 Enforcement epoch accounting} *)
 
 let test_enforce_epoch_accounting () =
-  (* Satellite bugfix: step/run never advanced enforce.epochs (only
-     run_dynamic did), so the counter undercounted compiled epochs.
-     Every compile — one per step call, one per run call, one per
-     run_dynamic epoch — now bumps it, in lockstep with
-     enforce.gp.updates. *)
+  (* Every compile — one per run call, one per run_dynamic epoch —
+     bumps enforce.epochs, in lockstep with enforce.gp.updates. *)
   let module Runtime = Cm_enforce.Runtime in
   let module Elastic = Cm_enforce.Elastic in
   let epochs_c = Metrics.counter "enforce.epochs" in
@@ -588,10 +585,10 @@ let test_enforce_epoch_accounting () =
   in
   let e0 = Metrics.counter_value epochs_c in
   let g0 = Metrics.counter_value gp_c in
-  ignore (Runtime.step rt ~flows);
+  ignore (Runtime.run rt ~flows ~periods:1);
   ignore (Runtime.run rt ~flows ~periods:5);
   ignore (Runtime.run_dynamic rt ~epochs:[ flows; flows ]);
-  Alcotest.(check int) "one epoch per compile: step + run + 2 dynamic" 4
+  Alcotest.(check int) "one epoch per compile: 2 runs + 2 dynamic" 4
     (Metrics.counter_value epochs_c - e0);
   Alcotest.(check int) "enforce.epochs advances in lockstep with gp.updates"
     (Metrics.counter_value gp_c - g0)
@@ -632,7 +629,7 @@ let test_jobs_invariant_with_metrics_enabled () =
       Alcotest.(check bool) "tracing actually recorded spans" true
         (Trace.recorded () > 0))
 
-(* {1 bench/main.exe --metrics-out document} *)
+(* {1 cloudmirror experiment --metrics-out document} *)
 
 let load_bench_document () =
   let path = "bench_metrics.json" in
@@ -711,7 +708,7 @@ let test_bench_metrics_document () =
         series
   | _ -> Alcotest.fail "series missing"
 
-(* The trace the same bench run wrote: non-empty, well-formed, with the
+(* The trace the same experiment run wrote: non-empty, well-formed, with the
    section spans as roots. *)
 let test_bench_trace_document () =
   let doc =
